@@ -15,10 +15,9 @@ parent warms the model cache first so workers never race to train.
 
 from __future__ import annotations
 
+import ctypes
 import os
-import pickle
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
@@ -33,7 +32,9 @@ __all__ = [
     "ClipScheduler",
     "ShardPool",
     "ShardCrashError",
+    "blas_thread_share",
     "deal_shard_budget",
+    "limit_blas_threads",
 ]
 
 
@@ -64,16 +65,97 @@ def deal_shard_budget(
 
 
 class ShardCrashError(RuntimeError):
-    """A worker process died (or stopped progressing) mid-map.
+    """A shard process died (or stopped progressing) mid-serve.
 
     Raised instead of hanging or silently dropping work: the message
-    names what was lost and ``lost`` carries the task indices (or
-    request seqs, for supervised serving) whose results never arrived.
+    names what was lost and ``lost`` carries the request seqs whose
+    results never arrived.
     """
 
     def __init__(self, message: str, lost: Sequence = ()):
         super().__init__(message)
         self.lost = tuple(lost)
+
+
+def blas_thread_share(cores: int, processes: int, current: int) -> int:
+    """BLAS threads for one of ``processes`` concurrent BLAS-running
+    processes on ``cores`` usable cores.
+
+    An even share of the cores, at least one thread, and never more
+    than the ``current`` pool — an operator's lower
+    ``OPENBLAS_NUM_THREADS`` still wins.  Dividing by the process count
+    (rather than forcing one thread) keeps a lone process at its full
+    pool while N processes stop oversubscribing the cores N-fold.
+    """
+    return max(1, min(current, cores // max(1, processes)))
+
+
+#: ``(get, set)`` thread-count symbols, numpy's scipy-openblas wheel
+#: (64-bit interface) first, then a system OpenBLAS build.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_api():
+    """``(get, set)`` of the OpenBLAS loaded in this process, or None.
+
+    Finds the library through ``/proc/self/maps`` (numpy loads it with
+    local symbol binding, so a global lookup misses it).  None where
+    that file is missing or no OpenBLAS is loaded (MKL, Accelerate).
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {
+                fields[-1] for fields in map(str.split, maps)
+                if len(fields) >= 6
+                and "openblas" in os.path.basename(fields[-1]).lower()
+            }
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: reuses its handle
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is None or set_ is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def limit_blas_threads(processes: int) -> Optional[int]:
+    """Size this process's OpenBLAS pool to its share of the cores.
+
+    Called at the entry of every child process that runs BLAS beside
+    ``processes - 1`` siblings (pool initializers, supervised shards),
+    before any network is built, so plan compilation and the fused-GEMM
+    probe see the thread count the process will serve with.  Returns
+    the resulting pool size, or None — changing nothing — when no
+    OpenBLAS is loaded.
+    """
+    api = _openblas_thread_api()
+    if api is None:
+        return None
+    get, set_ = api
+    current = get()
+    threads = blas_thread_share(_usable_cores(), processes, current)
+    if threads != current:
+        set_(threads)
+    return threads
+
 
 _BACKENDS = ("auto", "serial", "thread", "process")
 
@@ -81,25 +163,9 @@ _BACKENDS = ("auto", "serial", "thread", "process")
 _WORKER_PIPELINE: Optional[EVA2Pipeline] = None
 
 
-def _run_feeder_task(fn, index: int, task, results_queue) -> None:
-    """Worker entry for :meth:`ShardPool.map_with_feeder`.
-
-    Ships ``(index, "ok"/"err", payload)`` back so the parent can match
-    results to tasks without trusting completion order, and so a raised
-    exception travels as a value instead of killing the map silently.
-    """
-    try:
-        results_queue.put((index, "ok", fn(task)))
-    except BaseException as exc:  # noqa: BLE001 — transported, re-raised
-        try:
-            pickle.dumps(exc)
-        except Exception:
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        results_queue.put((index, "err", exc))
-
-
-def _init_process_worker(spec: PipelineSpec) -> None:
+def _init_process_worker(spec: PipelineSpec, workers: int) -> None:
     global _WORKER_PIPELINE
+    limit_blas_threads(workers)
     _WORKER_PIPELINE = spec.build()
 
 
@@ -156,12 +222,17 @@ class ShardPool:
 
         ``fn`` must be a module-level function and every task picklable
         when the process backend resolves.  Results keep task order.
+        Process workers size their BLAS pool to their share of the
+        cores (:func:`limit_blas_threads`) before running a task.
         """
         tasks = list(tasks)
         backend = self.config.resolve(len(tasks))
         if backend == "process":
+            workers = min(self.config.workers, len(tasks))
             with ProcessPoolExecutor(
-                max_workers=min(self.config.workers, len(tasks))
+                max_workers=workers,
+                initializer=limit_blas_threads,
+                initargs=(workers,),
             ) as pool:
                 return list(pool.map(fn, tasks))
         if backend == "thread":
@@ -170,105 +241,6 @@ class ShardPool:
             ) as pool:
                 return list(pool.map(fn, tasks))
         return [fn(task) for task in tasks]
-
-    def map_with_feeder(self, fn, tasks: Sequence, feeder,
-                        join_timeout: float = 300.0) -> List:
-        """Process-pool map with a parent-side ``feeder`` running alongside.
-
-        The work-stealing admission shape: each task carries a proxy to
-        a *shared per-lane admission queue*, and ``feeder()`` releases
-        requests into those queues (honouring arrival times) while the
-        shard workers pull — so an idle shard steals the next pending
-        request instead of waiting for a statically assigned slice.  All
-        tasks are submitted first, the feeder runs concurrently in the
-        parent, and results keep task order.
-
-        Unlike :meth:`map`'s batch jobs, these tasks are *long-lived
-        concurrent consumers* — every shard must be resident to pull
-        from its queue (and to reach the readiness barrier the caller
-        may gate the feeder on) — so the pool is sized to the task
-        count, not the configured worker count.
-
-        Process backend only: stealing over a shared queue in a single
-        thread would degenerate (the first inline shard would drain the
-        whole queue before the second ever ran), so callers whose
-        backend resolves ``serial`` must use their own inline loop —
-        serving's discrete-event simulation — instead of this map.
-
-        Crash safety: a worker that dies before returning (a concurrent
-        consumer crashing leaves its queue forever undrained) can no
-        longer hang the map.  Results are collected with liveness
-        checks and a ``join_timeout`` tail bound; dead or stuck workers
-        are reaped (exit codes read, stragglers terminated) and the map
-        raises :class:`ShardCrashError` naming every lost task.
-        """
-        import multiprocessing
-        import queue as queue_module
-
-        tasks = list(tasks)
-        backend = self.config.resolve(len(tasks))
-        if backend != "process":
-            raise ValueError(
-                f"map_with_feeder needs the process backend, resolved "
-                f"{backend!r} for {len(tasks)} task(s); run inline "
-                f"work-stealing through the caller's own loop instead"
-            )
-        results_queue = multiprocessing.Queue()
-        procs = [
-            multiprocessing.Process(
-                target=_run_feeder_task,
-                args=(fn, index, task, results_queue),
-                daemon=True,
-            )
-            for index, task in enumerate(tasks)
-        ]
-        for proc in procs:
-            proc.start()
-        try:
-            feeder()
-            results: dict = {}
-            deadline = time.monotonic() + join_timeout
-            while len(results) < len(tasks):
-                try:
-                    index, status, payload = results_queue.get(timeout=0.1)
-                    results[index] = (status, payload)
-                    continue
-                except queue_module.Empty:
-                    pass
-                missing = [i for i in range(len(tasks)) if i not in results]
-                if all(not procs[i].is_alive() for i in missing):
-                    # Every straggler is dead; one grace drain catches a
-                    # result flushed between the check and the read.
-                    try:
-                        index, status, payload = results_queue.get(timeout=0.5)
-                        results[index] = (status, payload)
-                        continue
-                    except queue_module.Empty:
-                        break
-                if time.monotonic() > deadline:
-                    break
-        finally:
-            for proc in procs:
-                proc.join(timeout=5)
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=1)
-        missing = [i for i in range(len(tasks)) if i not in results]
-        if missing:
-            detail = ", ".join(
-                f"task {i} (exit code {procs[i].exitcode})" for i in missing
-            )
-            raise ShardCrashError(
-                f"{len(missing)} of {len(tasks)} shard worker(s) never "
-                f"returned a result: {detail}",
-                lost=missing,
-            )
-        for index in range(len(tasks)):
-            status, payload = results[index]
-            if status == "err":
-                raise payload
-        return [results[index][1] for index in range(len(tasks))]
 
 
 class ClipScheduler:
@@ -316,6 +288,6 @@ class ClipScheduler:
         with ProcessPoolExecutor(
             max_workers=self.config.workers,
             initializer=_init_process_worker,
-            initargs=(self.spec,),
+            initargs=(self.spec, self.config.workers),
         ) as pool:
             return list(pool.map(_run_in_process_worker, clips))

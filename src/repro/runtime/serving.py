@@ -316,6 +316,12 @@ class ShardInfo:
 
     @property
     def frames_per_second(self) -> float:
+        """Frames per busy second of this shard: a busy-time *model*.
+
+        Idle time, set-up and transport are excluded, so it reads well
+        above the frames per wall-clock second a client sees; measure
+        wall-clock throughput (``perfbench/run.py``) for that.
+        """
         return self.frames / self.wall_seconds if self.wall_seconds else 0.0
 
 
@@ -411,8 +417,13 @@ class ServingReport:
     def frames_per_second(self) -> float:
         """Steady-state throughput: frames served per busy second.
 
-        Sharded runs divide by the slowest shard's busy time (the
-        concurrent-deployment model the process backend realizes).
+        Sharded runs divide by the slowest shard's busy time, so for
+        them this is a *model* of concurrent deployment, not a
+        measurement: it leaves out idle time, shard start-up, transport
+        and cores shared between shards, and under bursty, partial load
+        it reads several times above the measured wall-clock f/s.
+        Measure wall-clock throughput (``perfbench/run.py``) for a
+        speed claim.
         """
         return self.total_frames / self.wall_seconds if self.wall_seconds else 0.0
 

@@ -33,11 +33,9 @@ from repro.runtime import (
     FaultPlan,
     PipelineSpec,
     RequestShedError,
-    SchedulerConfig,
     ServerConfig,
     ServingRuntime,
     ShardCrashError,
-    ShardPool,
     SupervisorConfig,
     run_workload,
     synthetic_workload,
@@ -476,44 +474,3 @@ class TestDuplicateRequestIds:
             spec, ServerConfig(max_batch=2, clock=FakeClock())
         ).serve(requests)
         assert len(report.records) == 2
-
-
-# ------------------------------------------------------------------ #
-# ShardPool.map_with_feeder crash safety (module-level fns: picklable)
-# ------------------------------------------------------------------ #
-def _double_or_die(task):
-    if task < 0:
-        os._exit(7)  # simulated hard crash: no exception, no result
-    return task * 2
-
-
-def _raise_on_odd(task):
-    if task % 2:
-        raise ValueError(f"odd task {task}")
-    return task
-
-
-class TestMapWithFeederCrash:
-    def _pool(self):
-        return ShardPool(SchedulerConfig(workers=2, backend="process"))
-
-    def test_worker_death_raises_instead_of_hanging(self):
-        with pytest.raises(ShardCrashError, match="exit code 7") as info:
-            self._pool().map_with_feeder(
-                _double_or_die, [1, -1], feeder=lambda: None,
-                join_timeout=60.0,
-            )
-        assert info.value.lost == (1,)
-
-    def test_surviving_results_keep_order(self):
-        assert self._pool().map_with_feeder(
-            _double_or_die, [1, 2, 3], feeder=lambda: None,
-            join_timeout=60.0,
-        ) == [2, 4, 6]
-
-    def test_worker_exception_is_transported(self):
-        with pytest.raises(ValueError, match="odd task 3"):
-            self._pool().map_with_feeder(
-                _raise_on_odd, [2, 3], feeder=lambda: None,
-                join_timeout=60.0,
-            )

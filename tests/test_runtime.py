@@ -2,6 +2,9 @@
 backends, and the lockstep BatchedPipeline — including the contract that
 every execution path produces results identical to the serial loop."""
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,12 @@ from repro.runtime import (
     run_workload,
     slack_deadlines,
     synthetic_workload,
+)
+from repro.runtime.scheduler import (
+    _openblas_thread_api,
+    _usable_cores,
+    blas_thread_share,
+    limit_blas_threads,
 )
 
 NETWORK = "mini_fasterm"
@@ -224,6 +233,45 @@ class TestSchedulerBackends:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             SchedulerConfig(workers=-1)
+
+
+def _limited_blas_pool(processes):
+    """Child entry: apply the share rule, then read the pool back."""
+    returned = limit_blas_threads(processes)
+    return returned, _openblas_thread_api()[0]()
+
+
+class TestBlasThreadShare:
+    @pytest.mark.parametrize("cores,processes,expected", [
+        (1, 1, 1), (1, 2, 1), (1, 4, 1),
+        (2, 1, 2), (2, 2, 1), (2, 4, 1),
+        (8, 1, 8), (8, 2, 4), (8, 4, 2),
+    ])
+    def test_even_share_of_the_cores(self, cores, processes, expected):
+        assert blas_thread_share(cores, processes, current=64) == expected
+        # Never above the pool the process already has, never below 1.
+        for current in (1, 2, 3):
+            assert blas_thread_share(cores, processes, current) == min(
+                expected, current
+            )
+
+    @pytest.mark.parametrize("processes", [1, 2, 4])
+    def test_forked_child_pool_is_limited(self, processes):
+        api = _openblas_thread_api()
+        if api is None:
+            pytest.skip("no OpenBLAS set_num_threads symbol in this process")
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        before = api[0]()
+        with ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            returned, pool_size = pool.submit(
+                _limited_blas_pool, processes
+            ).result(timeout=60)
+        expected = blas_thread_share(_usable_cores(), processes, before)
+        assert returned == pool_size == expected
+        assert api[0]() == before  # the parent's pool is untouched
 
 
 class TestBatchedPipeline:

@@ -182,15 +182,26 @@ class TestSharded:
 
     def test_process_pool_shards_match_serial(self, spec):
         """The real multiprocess path: workers build their own network
-        and plan (plan-per-worker), results aggregate bit-identically."""
-        clips = synthetic_workload(4, num_frames=4, base_seed=23)
-        serial = run_workload(spec, clips, batch=False)
-        runtime = ServingRuntime(
-            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="process")
-        )
-        report = runtime.serve(_requests(clips))
-        _assert_identical(report, serial)
-        assert report.serve_workers == 2
+        and plan (plan-per-worker), results aggregate bit-identically.
+
+        Shard processes serve with their share of the BLAS pool while
+        the serial reference ran at this process's default pool.  The
+        second input runs supervised shards at batches of 4, so the
+        float64 plans probe and run fused GEMMs under the limit."""
+        inputs = [
+            (synthetic_workload(4, num_frames=4, base_seed=23),
+             ServerConfig(max_batch=2, serve_workers=2,
+                          shard_backend="process")),
+            (synthetic_workload(8, num_frames=4, base_seed=29),
+             ServerConfig(max_batch=4, serve_workers=2,
+                          shard_backend="process", admission="shared")),
+        ]
+        for clips, config in inputs:
+            serial = run_workload(spec, clips, batch=False)
+            report = ServingRuntime(spec, config).serve(_requests(clips))
+            _assert_identical(report, serial)
+            assert report.serve_workers == 2
+            assert report.steps < report.total_frames  # batched steps ran
 
     def test_sharded_ragged_and_staggered_match_serial(self, spec):
         """The PR 3 identity gauntlet on the sharded path: ragged clip
