@@ -32,30 +32,12 @@ enough cores it realizes this same concurrent-model number as elapsed
 time.  Every clip of the sharded run is asserted bit-identical to its
 serial run, same as the single-process path.
 
-Two further headlines guard the pipelined stage executor and the
-shared-admission scheduler:
+The third headline guards the shared-admission scheduler: **tail
+latency under skew** — with long and short clips interleaved across 2
+shards, shared-admission (work stealing) p99 time-to-first-frame must
+not exceed static round-robin's.
 
-* **pipelining** — depth-2 lockstep (step t+1's RFBME/decisions
-  overlapped with step t's CNN stages on a double-buffered engine) must
-  hold >= 0.85x sequential lockstep throughput, bit-identical;
-* **tail latency under skew** — with long and short clips interleaved
-  across 2 shards, shared-admission (work stealing) p99
-  time-to-first-frame must not exceed static round-robin's.
-
-The fifth headline is **speculation**: under arrival-limited Poisson
-traffic the server is almost never at full occupancy, so PR 5's
-stable-membership predicate ran every step sequentially.  Speculative
-pipelining (checkpoint + rollback, PR 6) overlaps those same steps and
-eats the occasional rollback; p99 time-to-first-frame with speculation
-on must be **>= 1.1x** better than with it off, with speculation
-engaging on a majority of steps and at least one rollback exercised.
-Both sides are measured on the concurrent-overlap timeline
-(``overlap_timeline=True`` — per-step CPU-time charges,
-``max(head, tail)`` for overlapped steps), the per-step analogue of the
-shard-scaling benchmark's per-shard-clock convention, so the ratio is
-comparable across hosts with any core count.
-
-The sixth headline is **chaos failover**: one of two *real* shard
+The fourth headline is **chaos failover**: one of two *real* shard
 processes is killed mid-trace under burst load.  The supervisor must
 detect the crash, fail its unacknowledged requests over to the survivor
 — every completed request bit-identical to its serial run, the failover
@@ -64,7 +46,7 @@ The tracked ratio is p99 TTFF *retention* (fault-free p99 over chaos
 p99, clamped at 1.0): how much of the tail survives losing half the
 fleet.
 
-The seventh headline is **autoscaling under bursts**: whole bursts of
+The fifth headline is **autoscaling under bursts**: whole bursts of
 requests land at once with idle lulls between them — the regime where a
 fixed fleet either over-provisions the lulls or drowns in the bursts.
 An autoscaled lane (1→4 shards, scale decisions from observed admission
@@ -73,13 +55,13 @@ depth) must beat the fixed 2-shard fleet on p99 time-to-first-frame by
 run regardless of when shards scaled, and the fleet asserted to have
 actually reached 4 shards.
 
-The eighth headline is **virtual-time admission**: the same supervised
+The sixth headline is **virtual-time admission**: the same supervised
 process backend, but the parent releases arrivals by logical timestamps
 instead of real sleeps — a ~60-second simulated trace must complete in
 **well under half** its simulated duration (the gated metric is the
 real-vs-simulated speedup, capped so faster hosts don't inflate it).
 
-The ninth headline is **the prefix service**: two lanes serving the
+The seventh headline is **the prefix service**: two lanes serving the
 same repeated-scene clips with every frame a key frame — the regime
 where per-lane execution runs one CNN prefix call per lane per step and
 recomputes identical pixels over and over.  With cross-lane coalescing
@@ -88,7 +70,7 @@ and the content-addressed prefix cache on, throughput must reach
 one fused batch executed, a substantial cache hit rate, and every
 served clip still bit-identical to its serial run on both sides.
 
-The tenth headline is **the quantized inference lane**: the same
+The eighth headline is **the quantized inference lane**: the same
 16-clip workload with every frame a key frame, served by the int8
 planned lane vs the float32 lane.  All-key-frames is the CNN-bound
 regime — under the default match-error policy both lanes share the same
@@ -137,19 +119,11 @@ FRAMES_PER_CLIP = 16
 THROUGHPUT_FLOOR = 0.80
 #: sharding bar: 2-shard aggregate throughput vs the single-process run.
 SHARD_SCALING_FLOOR = 1.5
-#: pipelining bar: depth-2 lockstep throughput vs sequential lockstep.
-#: The pipelined executor must never cost meaningful throughput for its
-#: latency overlap; on multi-core hosts it lands at or above 1.0x.
-PIPELINE_FLOOR = 0.85
 #: skew bar noise allowance: shared-admission p99 TTFF must beat static
 #: round-robin's (measured ~1.5-1.6x better), but both sides are real
 #: measured step durations, so a tie within 5% jitter on a loaded
 #: runner must not read as a regression.
 SKEW_P99_TOLERANCE = 1.05
-#: speculation bar: with arrival-limited Poisson traffic, p99 TTFF with
-#: speculative pipelining on vs off (both on the concurrent-overlap
-#: timeline; measured ~1.2-1.6x better on this workload).
-SPECULATION_P99_FLOOR = 1.1
 #: chaos bar: p99 TTFF retention after losing 1 of 2 process shards
 #: mid-trace (fault-free p99 / chaos p99, clamped at 1.0).  The real
 #: bound under test is bit identity + exact failover accounting + no
@@ -190,13 +164,9 @@ _JSON_KEYS = (
     "workload", "kernel_available", "static_lockstep_fps", "serving_fps",
     "serving_vs_static", "mean_occupancy", "latency_ms",
     "identical_to_serial", "shard_workload", "single_process_fps",
-    "sharded_fps", "shard_scaling_2x", "pipeline_workload",
-    "sequential_fps", "pipelined_fps", "pipelined_vs_sequential",
+    "sharded_fps", "shard_scaling_2x",
     "skew_workload", "static_p99_ttff_ms", "shared_p99_ttff_ms",
-    "admission_p99_speedup", "speculation_workload",
-    "nonspeculative_p99_ttff_ms", "speculative_p99_ttff_ms",
-    "speculation_p99_speedup", "speculation_fps_ratio",
-    "speculation_engagement", "speculation_rollback_rate",
+    "admission_p99_speedup",
     "chaos_workload", "fault_free_p99_ttff_ms", "chaos_p99_ttff_ms",
     "chaos_p99_retention", "chaos_failovers", "autoscale_workload",
     "fixed2_p99_ttff_ms", "autoscale_p99_ttff_ms", "autoscale_p99_speedup",
@@ -417,64 +387,6 @@ def test_shard_scaling_two_lanes(spec):
     )
 
 
-def test_pipelined_lockstep_throughput(spec, traffic):
-    """Depth-2 pipelined lockstep must hold >= 0.85x sequential lockstep.
-
-    The pipelined stage executor overlaps step t+1's RFBME/decisions
-    with step t's CNN stages on a worker thread (double-buffered engine
-    scratch); its purpose is hiding RFBME latency, and this bar ensures
-    the machinery never *costs* throughput.  Identity is asserted
-    bit-for-bit against the sequential run — the executor's core
-    contract.
-    """
-    clips = traffic[:MAX_BATCH]
-    sequential = max(
-        (run_workload(spec, clips, batch=True) for _ in range(3)),
-        key=lambda result: result.frames_per_second,
-    )
-    piped_spec = PipelineSpec(network=NETWORK, pipeline_depth=2)
-    pipelined = max(
-        (run_workload(piped_spec, clips, batch=True) for _ in range(3)),
-        key=lambda result: result.frames_per_second,
-    )
-    assert pipelined.matches(sequential), (
-        "pipelined lockstep diverged from sequential execution"
-    )
-    for got, want in zip(pipelined.results, sequential.results):
-        np.testing.assert_array_equal(got.outputs(), want.outputs())
-
-    ratio = pipelined.frames_per_second / sequential.frames_per_second
-    register_table(
-        f"pipelined vs sequential lockstep ({len(clips)} clips, "
-        f"pipeline_depth=2, {NETWORK})",
-        ["quantity", "value"],
-        [
-            ["sequential f/s", round(sequential.frames_per_second, 1)],
-            ["pipelined f/s", round(pipelined.frames_per_second, 1)],
-            ["pipelined/sequential", f"{ratio:.2f}x"],
-            ["identical", "yes"],
-        ],
-    )
-    _RESULTS.update(
-        {
-            "pipeline_workload": {
-                "clips": len(clips),
-                "frames_per_clip": FRAMES_PER_CLIP,
-                "pipeline_depth": 2,
-            },
-            "sequential_fps": round(sequential.frames_per_second, 2),
-            "pipelined_fps": round(pipelined.frames_per_second, 2),
-            "pipelined_vs_sequential": round(ratio, 3),
-        }
-    )
-    _write_json()
-
-    assert ratio >= PIPELINE_FLOOR, (
-        f"pipelined lockstep is {ratio:.2f}x sequential; "
-        f"the pipelining bar is {PIPELINE_FLOOR:.2f}x"
-    )
-
-
 def test_skewed_admission_tail_latency(spec):
     """Shared-admission p99 TTFF must not exceed static round-robin's.
 
@@ -558,141 +470,6 @@ def test_skewed_admission_tail_latency(spec):
     assert shared_p99 <= static_p99 * SKEW_P99_TOLERANCE, (
         f"shared-admission p99 TTFF ({shared_p99 * 1e3:.2f} ms) exceeds "
         f"static round-robin's ({static_p99 * 1e3:.2f} ms) under skew"
-    )
-
-
-def test_speculative_serving_tail_latency():
-    """Speculation must cut p99 TTFF >= 1.1x under arrival-limited load.
-
-    The workload is the regime ISSUE 6 targets: Poisson arrivals at 0.7x
-    the serial service rate, so occupancy hovers around 1-2 of 8 slots
-    and full-occupancy stability never holds — the non-speculative
-    depth-2 server pipelines *zero* steps (asserted), exactly PR 5's
-    degenerate case.  With speculation on, the same trace overlaps ~95%
-    of steps and rolls back the few admission-mismatched ones.  A heavy
-    RFBME (radius 20, stride 1) makes the overlapped head worth hiding.
-
-    Both sides run on the concurrent-overlap timeline so the numbers
-    model a two-core deployment regardless of host cores.  Per side,
-    the p99 is the median over ``reps`` serves (a single serve's p99 at
-    40 requests is one order statistic — the median filters scheduler
-    outliers without collapsing the structural residual the way a min
-    would); the whole comparison retries up to ``trials`` times and
-    keeps the best ratio, the same flake allowance the skew benchmark's
-    min-of-2 gives its real-time measurement.  Every rep of every serve
-    is asserted bit-identical to the serial run first.
-    """
-    num_requests, frames, reps, trials = 40, 24, 5, 3
-    base = dict(
-        network=NETWORK, pipeline_depth=2, search_radius=20, search_stride=1
-    )
-    spec_off = PipelineSpec(speculate=False, **base)
-    spec_off.warm()
-    spec_on = PipelineSpec(speculate=True, **base)
-    clips = synthetic_workload(num_requests, num_frames=frames, base_seed=41)
-
-    def serve_once(spec, requests, serial):
-        report = ServingRuntime(
-            spec, ServerConfig(max_batch=8, overlap_timeline=True)
-        ).serve(requests)
-        assert report.workload_result().matches(serial), (
-            "speculative serving diverged from serial execution"
-        )
-        return report
-
-    def measure(requests, serial):
-        # Interleave the two sides rep by rep, so a load excursion on
-        # the host (the p99s here are milliseconds; a noisy neighbour
-        # lasts longer than one serve) lands on both sides alike
-        # instead of skewing whichever side it happened to overlap.
-        p99s = {spec_off: [], spec_on: []}
-        best = {}
-        for _ in range(reps):
-            for spec in (spec_off, spec_on):
-                report = serve_once(spec, requests, serial)
-                p99s[spec].append(report.latency_percentiles()["ttff_p99"])
-                held = best.get(spec)
-                if held is None or (
-                    report.frames_per_second > held.frames_per_second
-                ):
-                    best[spec] = report
-        return (
-            float(np.median(p99s[spec_off])),
-            float(np.median(p99s[spec_on])),
-            best[spec_off],
-            best[spec_on],
-        )
-
-    attempts = []
-    for trial in range(trials):
-        # Re-derive the arrival schedule per trial — the serial rate is
-        # remeasured (CPU state drifts over a long bench run) and the
-        # Poisson seed varies, so a retry samples a fresh trace instead
-        # of re-running the exact phase alignment that just flaked.
-        serial = run_workload(spec_off, clips, batch=False)
-        clip_rate = 0.7 * serial.frames_per_second / frames
-        arrivals = poisson_arrival_times(
-            num_requests, rate=clip_rate, seed=7 + trial
-        )
-        requests = [
-            ClipRequest(request_id=i, clip=clip, arrival_time=t)
-            for i, (clip, t) in enumerate(zip(clips, arrivals))
-        ]
-        off_p99, on_p99, off, on = measure(requests, serial)
-        attempts.append((off_p99 / on_p99, off_p99, on_p99, off, on))
-        if attempts[-1][0] >= SPECULATION_P99_FLOOR:
-            break
-    speedup, off_p99, on_p99, off, on = max(attempts, key=lambda a: a[0])
-
-    # PR 5's predicate never proves stability here (occupancy < 8
-    # throughout), so the non-speculative server pipelined nothing —
-    # every step speculation engages is one PR 5 ran sequentially.
-    assert off.pipelined_steps == 0
-    assert off.speculated == 0
-    assert on.speculation_engagement > 0.5, (
-        f"speculation engaged on only {on.speculation_engagement:.0%} of steps"
-    )
-    assert on.rollbacks > 0, "trace never exercised the rollback path"
-
-    fps_ratio = on.frames_per_second / off.frames_per_second
-    register_table(
-        f"speculative vs non-speculative serving ({num_requests} Poisson "
-        f"requests at 0.7x load, radius 20/stride 1, {NETWORK})",
-        ["quantity", "speculate=False", "speculate=True"],
-        [
-            ["ttff p99 ms", round(off_p99 * 1e3, 2), round(on_p99 * 1e3, 2)],
-            ["p99 speedup", "-", f"{speedup:.2f}x"],
-            ["throughput ratio", "-", f"{fps_ratio:.2f}x"],
-            ["pipelined steps", off.pipelined_steps, on.pipelined_steps],
-            ["engagement", "0.00", round(on.speculation_engagement, 3)],
-            ["rollback rate", "-", round(on.rollback_rate, 3)],
-            ["identical to serial", "yes", "yes"],
-        ],
-    )
-    _RESULTS.update(
-        {
-            "speculation_workload": {
-                "requests": num_requests,
-                "frames_per_clip": frames,
-                "max_batch": 8,
-                "search_radius": 20,
-                "search_stride": 1,
-                "load_fraction": 0.7,
-                "reps_per_side": reps,
-            },
-            "nonspeculative_p99_ttff_ms": round(off_p99 * 1e3, 3),
-            "speculative_p99_ttff_ms": round(on_p99 * 1e3, 3),
-            "speculation_p99_speedup": round(speedup, 3),
-            "speculation_fps_ratio": round(fps_ratio, 3),
-            "speculation_engagement": round(on.speculation_engagement, 3),
-            "speculation_rollback_rate": round(on.rollback_rate, 3),
-        }
-    )
-    _write_json()
-
-    assert speedup >= SPECULATION_P99_FLOOR, (
-        f"speculative p99 TTFF is {speedup:.2f}x the non-speculative "
-        f"server's; the speculation bar is {SPECULATION_P99_FLOOR:.2f}x"
     )
 
 

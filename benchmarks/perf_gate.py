@@ -14,8 +14,7 @@ hardware change:
 * ``BENCH_serving.json`` — ``serving_vs_static`` (continuous batching
   relative to static lockstep on the same host), ``shard_scaling_2x``
   (2-shard aggregate throughput relative to the single-process run),
-  ``pipelined_vs_sequential`` (the depth-2 stage executor relative to
-  sequential lockstep), and ``admission_p99_speedup`` (static p99
+  and ``admission_p99_speedup`` (static p99
   time-to-first-frame divided by shared-admission p99 under skewed
   traffic — the work-stealing headline; >= 1 means stealing is no worse).
 

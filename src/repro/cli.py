@@ -67,9 +67,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.clips < 1:
         print("error: --clips must be >= 1", file=sys.stderr)
         return 2
-    if args.pipeline_depth < 1:
-        print("error: --pipeline-depth must be >= 1", file=sys.stderr)
-        return 2
     if args.clips > 1:
         if args.batch and args.workers > 1:
             print(
@@ -135,8 +132,6 @@ def _spec_and_clips(args: argparse.Namespace):
         rfbme_backend=args.rfbme,
         cnn_engine=args.cnn,
         dtype=args.dtype,
-        pipeline_depth=args.pipeline_depth,
-        speculate=args.speculate,
     )
     clips = synthetic_workload(
         args.clips,
@@ -217,9 +212,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if args.serve_workers < 1:
         print("error: --serve-workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.pipeline_depth < 1:
-        print("error: --pipeline-depth must be >= 1", file=sys.stderr)
         return 2
     if args.deadline < 0:
         print("error: --deadline must be > 0 seconds (0 = off)",
@@ -483,17 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "for throughput, int8/q16 run the calibrated "
                           "fixed-point lane under an explicit tolerance "
                           "contract (planned engine only)")
-    run.add_argument("--pipeline-depth", type=int, default=1,
-                     help="software-pipeline depth for lockstep steps: 2 "
-                          "overlaps step t+1's RFBME/decision with step "
-                          "t's CNN stages (bit-identical; default 1)")
-    run.add_argument("--speculate", action=argparse.BooleanOptionalAction,
-                     default=True,
-                     help="pipeline speculatively across uncertain step "
-                          "boundaries (serving admissions/evictions): "
-                          "checkpoint, overlap, roll back + replay on a "
-                          "mismatch; bit-identical either way "
-                          "(--no-speculate restores stable-only overlap)")
     run.add_argument("--prefix-cache", action=argparse.BooleanOptionalAction,
                      default=False,
                      help="content-addressed CNN prefix cache for lockstep "
@@ -607,18 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--network", default="mini_fasterm",
                         choices=["mini_alexnet", "mini_fasterm",
                                  "mini_faster16"])
-    engine.add_argument("--pipeline-depth", type=int, default=1,
-                        help="software-pipeline depth for serving steps "
-                             "(2 overlaps RFBME with the CNN stages; "
-                             "bit-identical; default 1)")
-    engine.add_argument("--speculate", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="with --pipeline-depth 2, overlap across "
-                             "possible admissions/evictions too: the "
-                             "executor checkpoints policy state and rolls "
-                             "back + replays on a membership mismatch; "
-                             "the report shows engagement and rollback "
-                             "rates (--no-speculate = stable-only overlap)")
     engine.add_argument("--threshold", type=float, default=2.0,
                         help="adaptive match-error threshold")
     engine.add_argument("--interval", type=int, default=0,

@@ -68,19 +68,6 @@ class AMCConfig:
     #: :class:`~repro.nn.quantize.QuantTolerance` contract — the
     #: paper's accuracy-for-throughput knob).
     dtype: str = "float64"
-    #: runtime step pipelining: 1 executes the frame lifecycle
-    #: sequentially per step; 2 lets the stage executor software-pipeline
-    #: step t+1's RFBME/decision against step t's CNN stages
-    #: (double-buffered scratch, bit-identical results).  Depths beyond 2
-    #: behave as 2 — the lifecycle has one overlap window.
-    pipeline_depth: int = 1
-    #: with pipeline_depth >= 2, let drivers pipeline *speculatively*
-    #: across uncertain step boundaries (possible admissions/evictions):
-    #: the executor checkpoints policy/cursor state before the
-    #: speculative head and rolls back + replays on a mismatch.
-    #: Bit-identical either way; False restores the PR 5 behaviour of
-    #: overlapping only provably stable steps.
-    speculate: bool = True
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -107,10 +94,6 @@ class AMCConfig:
         if self.dtype in _PLANNED_ONLY_DTYPES and self.cnn_engine != "planned":
             raise ValueError(
                 f"dtype={self.dtype!r} requires the planned CNN engine"
-            )
-        if self.pipeline_depth < 1:
-            raise ValueError(
-                f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
             )
 
 

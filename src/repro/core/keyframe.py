@@ -16,7 +16,7 @@ predict from.
 
 from __future__ import annotations
 
-import copy
+import math
 from abc import ABC, abstractmethod
 from typing import Optional
 
@@ -41,34 +41,6 @@ class KeyFramePolicy(ABC):
 
     def __init__(self):
         self._frames_since_key = 0
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint/rollback — the Checkpointable contract (see
-    # repro.runtime.stage_graph).  decide() mutates inter-frame state,
-    # so a speculative executor snapshots it before running decide
-    # against a batch that may never happen, and restores it on a
-    # mismatch.  Round trip is exact: checkpoint → decide(...)* →
-    # rollback leaves the policy indistinguishable (vars()-equal) from
-    # the moment of the checkpoint.
-    def checkpoint(self) -> object:
-        """An opaque snapshot of all mutable policy state.
-
-        Deep-copied so later mutations (including of nested/aliased
-        containers a subclass might hold) can never reach back into the
-        snapshot.
-        """
-        return copy.deepcopy(self.__dict__)
-
-    def rollback(self, snapshot: object) -> None:
-        """Restore the state captured by :meth:`checkpoint`.
-
-        The snapshot is deep-copied on the way back in, so one snapshot
-        may be rolled back to any number of times; aliasing *within* the
-        snapshot (two attributes sharing one object) is preserved by the
-        copy memo.
-        """
-        self.__dict__.clear()
-        self.__dict__.update(copy.deepcopy(snapshot))
 
     def decide(self, frame_index: int, estimation: Optional[RFBMEResult]) -> bool:
         """Return True to run ``frame_index`` as a key frame.
@@ -119,7 +91,16 @@ class StaticPolicy(KeyFramePolicy):
 
 
 class _AdaptivePolicy(KeyFramePolicy):
-    """Shared threshold + forced-refresh logic for the adaptive policies."""
+    """Shared threshold + forced-refresh logic for the adaptive policies.
+
+    A frame is a key when its metric exceeds ``threshold`` **or is not
+    finite**.  A NaN/inf metric means motion estimation failed outright
+    (e.g. a NaN pixel reached the SAD), so the prediction has nothing
+    trustworthy to warp from; re-keying confines the damage to that
+    frame instead of letting one bad key poison every later prediction
+    of the clip.  It also makes the decision independent of how a
+    backend happens to propagate NaN through its SAD reduction.
+    """
 
     def __init__(self, threshold: float, max_gap: Optional[int] = None):
         super().__init__()
@@ -133,7 +114,8 @@ class _AdaptivePolicy(KeyFramePolicy):
     def _decide(self, estimation: RFBMEResult) -> bool:
         if self.max_gap is not None and self._frames_since_key + 1 >= self.max_gap:
             return True
-        return self._metric(estimation) > self.threshold
+        metric = self._metric(estimation)
+        return not math.isfinite(metric) or metric > self.threshold
 
     def _metric(self, estimation: RFBMEResult) -> float:
         raise NotImplementedError

@@ -7,9 +7,8 @@ everyone.  Earlier releases executed that lifecycle as one opaque
 function whose state lived in closures; this module makes each phase a
 *pure stage function* over an explicit, picklable :class:`LaneState`, so
 the runtime layer can schedule the phases (a
-:class:`~repro.runtime.stage_graph.StageGraph`), ship lane state to
-worker processes (sharded serving), and later double-buffer RFBME
-against the CNN stages.
+:class:`~repro.runtime.stage_graph.StageGraph`) and ship lane state to
+worker processes (sharded serving).
 
 Contracts:
 
@@ -21,15 +20,13 @@ Contracts:
   executor in :func:`stage_cnn_prefix` (and, on the legacy engine, the
   equivalent inside :func:`stage_legacy_cnn`).
 * **Declared effects.**  Besides its dataflow inputs/outputs, every
-  stage declares which :class:`LaneState` *resources* it reads and
-  writes (:data:`KEY_STATE`, :data:`POLICY_STATE`,
-  :data:`ENGINE_SCRATCH`, :data:`PLAN_SCRATCH`).  Dataflow orders
-  stages *within* a step; the resource sets are what lets the
-  pipelined executor (:class:`~repro.runtime.stage_graph.StageExecutor`)
-  prove that two stages of *consecutive* steps are conflict-free and
-  may overlap — e.g. step ``t+1``'s ``rfbme`` only reads key state and
-  writes its (double-buffered) engine scratch, so it can run against
-  step ``t``'s ``warp``/``cnn_suffix``/``record``.
+  stage declares which :class:`LaneState` *resources* it writes
+  (:data:`KEY_STATE`, :data:`POLICY_STATE`, :data:`ENGINE_SCRATCH`,
+  :data:`PLAN_SCRATCH`).  Dataflow orders stages within a step; the
+  write sets are checked by
+  :meth:`StageGraph.run(enforce_writes=True)
+  <repro.runtime.stage_graph.StageGraph.run>`, which fails a stage that
+  mutates persistent lane state it never declared.
 * **Bit identity.**  Each stage performs exactly the array operations of
   the monolithic lockstep step it was extracted from, in the same order,
   so running the stages in sequence reproduces the previous
@@ -68,10 +65,7 @@ __all__ = [
     "PLAN_SCRATCH",
     "RESOURCES",
     "CHECKED_RESOURCES",
-    "CHECKPOINT_RESOURCES",
     "fingerprint_resource",
-    "checkpoint_resource",
-    "restore_resource",
     "stage_rfbme",
     "stage_decide",
     "stage_cnn_prefix",
@@ -82,24 +76,20 @@ __all__ = [
 ]
 
 # --------------------------------------------------------------------- #
-# LaneState resources (conflict analysis)
+# LaneState resources (declared write sets)
 # --------------------------------------------------------------------- #
 #: the executors' stored key pixels and target activations.
 KEY_STATE = "key_state"
 #: the per-slot key-frame policies' inter-frame state.
 POLICY_STATE = "policy_state"
-#: the per-slot clip-local frame cursors.  Stages only ever *read*
-#: cursors (through the batch's snapshot); the driver advances them
-#: between steps.
+#: the per-slot clip-local frame cursors.  Stages only ever read
+#: cursors; the driver advances them between steps.
 CURSOR_STATE = "cursor_state"
 #: the RFBME engine's producer/consumer workspaces.  Scratch: contents
-#: never outlive one stage invocation, and the pipelined executor
-#: double-buffers it (one engine per in-flight step context), so writes
-#: from overlapped steps can never collide.
+#: never outlive one stage invocation.
 ENGINE_SCRATCH = "engine_scratch"
 #: the compiled inference plan's im2col/GEMM scratch.  Scratch, same as
-#: above — only ever touched by stages of the step that owns the plan
-#: resolution, all of which run on the executor's main thread.
+#: above.
 PLAN_SCRATCH = "plan_scratch"
 
 #: every declared resource, in a stable order.
@@ -112,20 +102,10 @@ RESOURCES = (KEY_STATE, POLICY_STATE, CURSOR_STATE, ENGINE_SCRATCH,
 #: are exempt by definition (their contents are dead between stages).
 CHECKED_RESOURCES = (KEY_STATE, POLICY_STATE, CURSOR_STATE)
 
-#: persistent resources that support checkpoint → rollback (the
-#: :class:`~repro.runtime.stage_graph.Checkpointable` contract) — what a
-#: speculative executor snapshots before running head stages against a
-#: batch that may never happen.  These are exactly the resources the
-#: head of the lifecycle graphs can write (``decide`` advances policy
-#: state) plus the cursors its decisions are keyed on.
-CHECKPOINT_RESOURCES = (POLICY_STATE, CURSOR_STATE)
-
-
-def _effects(reads=(), writes=()):
-    """Attach declared LaneState read/write sets to a stage function."""
+def _effects(writes=()):
+    """Attach a declared LaneState write set to a stage function."""
 
     def mark(fn):
-        fn.reads = frozenset(reads)
         fn.writes = frozenset(writes)
         return fn
 
@@ -168,61 +148,6 @@ def fingerprint_resource(batch: "StepBatch", resource: str):
     if resource == CURSOR_STATE:
         return tuple(batch.slot(k).cursor for k in range(len(batch)))
     return None
-
-
-def checkpoint_resource(batch: "StepBatch", resource: str):
-    """A restorable snapshot of one checkpointable resource of ``batch``.
-
-    The speculative executor's counterpart to
-    :func:`fingerprint_resource`: where a fingerprint only *detects*
-    change, a checkpoint can undo it —
-    :func:`restore_resource` puts the resource's observable content back
-    exactly (``fingerprint_resource`` before and after agree).  Only the
-    :data:`CHECKPOINT_RESOURCES` are supported; snapshots cover the
-    batch's positions, which is precisely the state a speculative head
-    run over this batch could have touched.  Non-``StepBatch`` seeds
-    (toy graphs) have no lane state: their snapshot is ``None`` and
-    restoring it is a no-op, mirroring :func:`fingerprint_resource`.
-    """
-    if not isinstance(batch, StepBatch):
-        return None
-    if resource == POLICY_STATE:
-        return tuple(
-            batch.slot(k).policy.checkpoint()
-            if batch.slot(k).policy is not None
-            else None
-            for k in range(len(batch))
-        )
-    if resource == CURSOR_STATE:
-        return tuple(batch.slot(k).cursor for k in range(len(batch)))
-    raise ValueError(
-        f"resource {resource!r} is not checkpointable "
-        f"(supported: {CHECKPOINT_RESOURCES})"
-    )
-
-
-def restore_resource(batch: "StepBatch", resource: str, snapshot) -> None:
-    """Roll one resource of ``batch`` back to its checkpointed content.
-
-    Safe to call more than once with the same snapshot (snapshots are
-    never consumed); see :func:`checkpoint_resource`.
-    """
-    if snapshot is None:
-        return
-    if resource == POLICY_STATE:
-        for k, state in enumerate(snapshot):
-            policy = batch.slot(k).policy
-            if policy is not None and state is not None:
-                policy.rollback(state)
-        return
-    if resource == CURSOR_STATE:
-        for k, cursor in enumerate(snapshot):
-            batch.slot(k).cursor = cursor
-        return
-    raise ValueError(
-        f"resource {resource!r} is not checkpointable "
-        f"(supported: {CHECKPOINT_RESOURCES})"
-    )
 
 
 @dataclass
@@ -289,30 +214,6 @@ class LaneState:
         """Slot positions currently holding a clip (policy attached)."""
         return [i for i, slot in enumerate(self.slots) if slot.policy is not None]
 
-    def build_pipeline_engine(self) -> RFBMEEngine:
-        """A second RFBME engine with the lane's exact geometry and config.
-
-        The double buffer of the pipelined executor: step ``t+1``'s
-        ``rfbme`` runs against its own producer/consumer workspaces while
-        step ``t``'s tail stages are still in flight, so the two steps'
-        :data:`ENGINE_SCRATCH` can never collide.  Same frame shape,
-        receptive field, search config, backend, and profile as
-        :attr:`engine` — and therefore bit-identical results (backend
-        choice and workspace identity never change an output bit).
-        Callers cache the returned engine; it is intentionally not stored
-        here so :class:`LaneState` pickles stay lean.
-        """
-        executor = self.slots[0].executor
-        config = executor.config
-        return RFBMEEngine(
-            executor.network.input_shape[1:],
-            executor.rf,
-            executor.grid_shape,
-            config=config.rfbme,
-            backend=config.rfbme_backend,
-            profile=config.rfbme_profile,
-        )
-
 
 @dataclass
 class StepBatch:
@@ -322,17 +223,6 @@ class StepBatch:
     this step, in slot order); ``frames`` holds each position's frame at
     its current cursor; ``plan`` is the resolved inference plan for the
     planned CNN engine (``None`` selects the legacy per-clip path).
-
-    ``cursors`` snapshots each position's clip-local frame index at batch
-    construction.  With one step in flight at a time the snapshot equals
-    ``slot.cursor`` (the fallback); under the pipelined executor two
-    step contexts coexist — step ``t+1``'s ``decide`` needs cursor
-    ``c+1`` while step ``t``'s ``record`` still needs ``c`` — so each
-    context carries its own values instead of reading mutable slot state.
-
-    ``engine`` overrides the lane engine for this step's ``rfbme`` (the
-    pipelined executor's scratch double buffer); ``None`` uses
-    ``state.engine``.
 
     ``prefix_service`` routes ``cnn_prefix`` through a shared
     :class:`~repro.runtime.prefix_service.PrefixService` (cross-lane
@@ -344,8 +234,6 @@ class StepBatch:
     positions: Sequence[int]
     frames: Sequence[np.ndarray]
     plan: Optional[object] = None
-    cursors: Optional[Sequence[int]] = None
-    engine: Optional[RFBMEEngine] = None
     prefix_service: Optional[object] = None
 
     def __len__(self) -> int:
@@ -356,34 +244,26 @@ class StepBatch:
 
     def cursor(self, k: int) -> int:
         """Position ``k``'s clip-local frame index for this step."""
-        if self.cursors is not None:
-            return self.cursors[k]
         return self.slot(k).cursor
-
-    @property
-    def rfbme_engine(self) -> RFBMEEngine:
-        """The engine this step's ``rfbme`` runs on (see ``engine``)."""
-        return self.engine if self.engine is not None else self.state.engine
 
 
 # --------------------------------------------------------------------- #
 # stage functions
 # --------------------------------------------------------------------- #
-@_effects(reads={KEY_STATE}, writes={ENGINE_SCRATCH})
+@_effects(writes={ENGINE_SCRATCH})
 def stage_rfbme(batch: StepBatch) -> List[Optional[RFBMEResult]]:
     """Batched RFBME for every slot with a stored key frame.
 
     Returns estimations aligned with ``batch.positions`` (``None`` for
     slots still waiting on their first key frame).  One
     :meth:`~repro.core.rfbme.RFBMEEngine.estimate_batch` call covers the
-    whole step, exactly as the monolithic lockstep step did — on the
-    lane engine, or on the step's double-buffer override
-    (``batch.rfbme_engine``) when the executor pipelines.
+    whole step on the lane engine, exactly as the monolithic lockstep
+    step did.
     """
     ready = [
         k for k in range(len(batch)) if batch.slot(k).executor.has_key
     ]
-    results = batch.rfbme_engine.estimate_batch(
+    results = batch.state.engine.estimate_batch(
         [
             (batch.slot(k).executor.stored_pixels(), batch.frames[k])
             for k in ready
@@ -395,7 +275,7 @@ def stage_rfbme(batch: StepBatch) -> List[Optional[RFBMEResult]]:
     return estimations
 
 
-@_effects(reads={POLICY_STATE, CURSOR_STATE}, writes={POLICY_STATE})
+@_effects(writes={POLICY_STATE})
 def stage_decide(
     batch: StepBatch, estimations: Sequence[Optional[RFBMEResult]]
 ) -> List[bool]:
@@ -406,7 +286,7 @@ def stage_decide(
     ]
 
 
-@_effects(reads={KEY_STATE, PLAN_SCRATCH}, writes={KEY_STATE, PLAN_SCRATCH})
+@_effects(writes={KEY_STATE, PLAN_SCRATCH})
 def stage_cnn_prefix(
     batch: StepBatch, decisions: Sequence[bool]
 ) -> Optional[np.ndarray]:
@@ -430,7 +310,7 @@ def stage_cnn_prefix(
     return key_acts
 
 
-@_effects(reads={KEY_STATE})
+@_effects()
 def stage_warp(
     batch: StepBatch,
     decisions: Sequence[bool],
@@ -461,7 +341,7 @@ def stage_warp(
     )
 
 
-@_effects(reads={PLAN_SCRATCH}, writes={PLAN_SCRATCH})
+@_effects(writes={PLAN_SCRATCH})
 def stage_cnn_suffix(
     batch: StepBatch,
     decisions: Sequence[bool],
@@ -492,9 +372,7 @@ def stage_cnn_suffix(
     return aligned
 
 
-@_effects(
-    reads={KEY_STATE, PLAN_SCRATCH}, writes={KEY_STATE, PLAN_SCRATCH}
-)
+@_effects(writes={KEY_STATE, PLAN_SCRATCH})
 def stage_legacy_cnn(
     batch: StepBatch,
     decisions: Sequence[bool],
@@ -517,7 +395,7 @@ def stage_legacy_cnn(
     return np.concatenate(outputs)
 
 
-@_effects(reads={CURSOR_STATE})
+@_effects()
 def stage_record(
     batch: StepBatch,
     decisions: Sequence[bool],

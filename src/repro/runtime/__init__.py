@@ -9,17 +9,12 @@ per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
 * :class:`ClipScheduler` / :class:`ShardPool` — fan clips (or lane
   shards) over a serial / thread / process pool, order-preserving.
 * :class:`StageGraph` / :class:`StageExecutor` — the frame lifecycle as
-  declared stages with typed inputs/outputs and resource read/write
-  sets (:func:`frame_lifecycle_graph`), topologically scheduled, run
-  over the picklable :class:`~repro.core.stages.LaneState`; the one
-  definition of the step that lockstep and serving both execute.  At
-  ``pipeline_depth=2`` the executor software-pipelines step t+1's
-  RFBME/decisions against step t's CNN stages (double-buffered engine
-  scratch, bit-identical) — definitely when the next batch is certain,
-  speculatively (checkpoint → rollback + replay on a membership
-  mismatch; :class:`Checkpointable`, :class:`RollbackEvent`,
-  :class:`SpeculationStats`) when serving admissions/evictions make it
-  uncertain.
+  declared stages with typed inputs/outputs and resource write sets
+  (:func:`frame_lifecycle_graph`), topologically scheduled, run over
+  the picklable :class:`~repro.core.stages.LaneState`; the one
+  definition of the step that lockstep and serving both execute.  The
+  executor runs each step sequentially, split at the ``cnn_prefix``
+  barrier so a serve round can fuse key frames across lanes.
 * :class:`BatchedPipeline` — lockstep execution that batches the RFBME
   hot path across all active clips in one vectorized call.
 * :class:`ServingRuntime` — streaming serving with continuous batching,
@@ -111,11 +106,7 @@ from .serving import (
 from .prefix_service import PrefixService, PrefixStats
 from .spec import PAPER_MODES, PipelineSpec
 from .stage_graph import (
-    Checkpointable,
     DuplicateOutputError,
-    PipelineContractError,
-    RollbackEvent,
-    SpeculationStats,
     Stage,
     StageCycleError,
     StageExecutor,
@@ -182,10 +173,6 @@ __all__ = [
     "UndeclaredInputError",
     "DuplicateOutputError",
     "WriteSetViolationError",
-    "PipelineContractError",
-    "Checkpointable",
-    "RollbackEvent",
-    "SpeculationStats",
     "frame_lifecycle_graph",
     "PAPER_MODES",
     "PipelineSpec",

@@ -29,9 +29,9 @@ outputs, same key-frame decisions, same op counts.  Executor
 construction, policy setup, and all workspace allocation happen once per
 workload instead of per clip (or per frame).
 
-``cnn_batching=False`` (or a spec with ``cnn_engine="legacy"``) keeps
-the PR 1 behaviour — batched RFBME, per-clip CNN — which the runtime
-benchmark measures speedups against.
+A spec with ``cnn_engine="legacy"`` keeps the original lockstep shape —
+batched RFBME, per-clip CNN — which the runtime benchmark measures
+speedups against.
 
 :class:`WorkloadResult` aggregates the per-clip
 :class:`~repro.core.pipeline.PipelineResult` records with the throughput
@@ -114,8 +114,6 @@ class WorkloadResult:
     workers: int = 1
     #: lifecycle steps executed (0 for paths without a step executor).
     steps: int = 0
-    #: steps whose head was precomputed by the pipelined executor.
-    pipelined_steps: int = 0
     #: prefix executions that fused requests from more than one lane.
     prefix_fused_batches: int = 0
     #: content-addressed prefix cache hits (0 when the cache is off).
@@ -130,11 +128,6 @@ class WorkloadResult:
     dtype: str = "float64"
     #: estimated MAC-energy / traffic savings for quantized dtypes.
     quant_savings: Optional[QuantSavings] = None
-
-    @property
-    def pipeline_engagement(self) -> float:
-        """Fraction of steps that ran with their head precomputed."""
-        return self.pipelined_steps / self.steps if self.steps else 0.0
 
     @property
     def num_clips(self) -> int:
@@ -203,10 +196,6 @@ class WorkloadResult:
             ["key fraction", round(self.key_fraction, 3)],
             ["RFBME adds", self.total_estimation_ops],
         ] + (
-            [["pipelined steps", f"{self.pipelined_steps}/{self.steps}"]]
-            if self.pipelined_steps
-            else []
-        ) + (
             [["prefix batches fused", self.prefix_fused_batches]]
             if self.prefix_fused_batches
             else []
@@ -244,17 +233,10 @@ class WorkloadResult:
 class BatchedPipeline:
     """Run a multi-clip workload in lockstep with batched hot paths.
 
-    ``cnn_batching`` selects whether CNN execution (prefix, warp, suffix)
-    also runs as whole-batch calls (requires the planned CNN engine);
-    ``None`` enables it exactly when the spec uses the planned engine.
-    ``False`` reproduces the PR 1 lockstep: batched RFBME, per-clip CNN.
-
-    ``pipeline_depth`` (default: the spec's) selects sequential step
-    execution (1) or the software-pipelined
-    :class:`~repro.runtime.stage_graph.StageExecutor` (2): step
-    ``t+1``'s RFBME/decisions overlap step ``t``'s warp/suffix/record on
-    a double-buffered engine.  Lockstep batches are static, so every
-    step pipelines; results are bit-identical at any depth.
+    The spec's ``cnn_engine`` picks the step graph: ``"planned"`` runs
+    CNN execution (prefix, warp, suffix) as whole-batch calls,
+    ``"legacy"`` keeps the original lockstep shape — batched RFBME,
+    per-clip CNN.
 
     ``prefix_cache_mb`` > 0 attaches a content-addressed
     :class:`~repro.runtime.prefix_service.PrefixService` cache to every
@@ -268,26 +250,9 @@ class BatchedPipeline:
     def __init__(
         self,
         spec: PipelineSpec,
-        cnn_batching: Optional[bool] = None,
-        pipeline_depth: Optional[int] = None,
         prefix_cache_mb: float = 0.0,
     ):
-        if cnn_batching is None:
-            cnn_batching = spec.cnn_engine == "planned"
-        if cnn_batching and spec.cnn_engine != "planned":
-            raise ValueError(
-                "cross-clip CNN batching requires cnn_engine='planned', "
-                f"got {spec.cnn_engine!r}"
-            )
         self.spec = spec
-        self.cnn_batching = cnn_batching
-        self.pipeline_depth = (
-            spec.pipeline_depth if pipeline_depth is None else pipeline_depth
-        )
-        if self.pipeline_depth < 1:
-            raise ValueError(
-                f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
-            )
         if prefix_cache_mb < 0:
             raise ValueError(
                 f"prefix_cache_mb must be >= 0, got {prefix_cache_mb}"
@@ -297,6 +262,7 @@ class BatchedPipeline:
     def run_workload(self, clips: Sequence[VideoClip]) -> WorkloadResult:
         """Process every clip; bit-identical to the serial path."""
         start = time.perf_counter()
+        planned = self.spec.cnn_engine == "planned"
         network = self.spec.shared_network()  # executors never mutate it
         # One slot per clip.  Slot 0's executor lends its RFBME engine to
         # the whole lane (identical geometry, shared scratch workspace).
@@ -309,16 +275,13 @@ class BatchedPipeline:
                 for _ in clips
             ],
             plan=(
-                PlanHandle(network, self.spec.dtype)
-                if self.cnn_batching
-                else None
+                PlanHandle(network, self.spec.dtype) if planned else None
             ),
         )
         for slot in state.slots:
             slot.executor.reset()
             slot.policy.reset()
-        graph = frame_lifecycle_graph(planned=self.cnn_batching)
-        executor = StageExecutor(graph, pipeline_depth=self.pipeline_depth)
+        executor = StageExecutor(frame_lifecycle_graph(planned=planned))
         plan = state.plan.resolve(len(clips)) if state.plan and clips else None
         # Lockstep already fuses coincident key frames within a step, so
         # the service is pure cache here (coalesce off).
@@ -328,52 +291,29 @@ class BatchedPipeline:
             else None
         )
 
-        # The whole step stream is known statically (clip lengths fix the
-        # positions, frame index == cursor), so batches are built up
-        # front and every step can pipeline into the next.  Odd steps run
-        # their RFBME on the double-buffer engine so the two in-flight
-        # contexts never share scratch.
+        # Clip lengths fix each step's positions; frame index == cursor.
         max_frames = max((len(clip) for clip in clips), default=0)
-        shadow = (
-            state.build_pipeline_engine()
-            if executor.pipelined and max_frames > 1
-            else None
-        )
-        batches: List[StepBatch] = []
+        records: List[List[FrameRecord]] = [[] for _ in clips]
         for index in range(max_frames):
             positions = [i for i in range(len(clips)) if index < len(clips[i])]
-            batches.append(
-                StepBatch(
-                    state=state,
-                    positions=positions,
-                    frames=[clips[i].frames[index] for i in positions],
-                    plan=plan,
-                    cursors=[index] * len(positions),
-                    engine=shadow if index % 2 else None,
-                    prefix_service=service,
-                )
+            batch = StepBatch(
+                state=state,
+                positions=positions,
+                frames=[clips[i].frames[index] for i in positions],
+                plan=plan,
+                prefix_service=service,
             )
-
-        records: List[List[FrameRecord]] = [[] for _ in clips]
-        try:
-            for t, batch in enumerate(batches):
-                next_batch = batches[t + 1] if t + 1 < len(batches) else None
-                # The step stream is static, so every handoff is
-                # definite — no checkpoint, no speculation needed.
-                env = executor.step(batch, next_batch=next_batch)
-                for k, i in enumerate(batch.positions):
-                    records[i].append(env["records"][k])
-                    state.slots[i].cursor += 1
-        finally:
-            executor.close()
+            env = executor.step(batch)
+            for k, i in enumerate(positions):
+                records[i].append(env["records"][k])
+                state.slots[i].cursor += 1
         results = [PipelineResult(records=r) for r in records]
         wall = time.perf_counter() - start
         return WorkloadResult(
             results=results,
             wall_seconds=wall,
             path="lockstep",
-            steps=executor.stats.steps,
-            pipelined_steps=executor.stats.pipelined_steps,
+            steps=max_frames,
             prefix_fused_batches=service.stats.fused_batches if service else 0,
             prefix_cache_hits=service.stats.hits if service else 0,
             prefix_cache_misses=service.stats.misses if service else 0,
@@ -389,7 +329,6 @@ def run_workload(
     clips: Sequence[VideoClip],
     batch: bool = True,
     scheduler: Optional[SchedulerConfig] = None,
-    cnn_batching: Optional[bool] = None,
     prefix_cache_mb: float = 0.0,
 ) -> WorkloadResult:
     """Execute a workload on the path implied by the arguments.
@@ -397,11 +336,10 @@ def run_workload(
     ``scheduler`` with more than one worker selects the pooled
     :class:`~repro.runtime.scheduler.ClipScheduler`; otherwise ``batch``
     picks lockstep (default) or plain serial execution.
-    ``cnn_batching`` forwards to :class:`BatchedPipeline` (None = batch
-    the CNN whenever the spec's planned engine allows it), as does
-    ``prefix_cache_mb`` (> 0 enables the content-addressed prefix cache
-    on the lockstep path; serial and scheduled paths ignore it).  Every
-    path returns identical per-clip results.
+    ``prefix_cache_mb`` forwards to :class:`BatchedPipeline` (> 0
+    enables the content-addressed prefix cache on the lockstep path;
+    serial and scheduled paths ignore it).  Every path returns identical
+    per-clip results.
     """
     dtype = resolve_plan_dtype(spec.dtype)
     savings = quantized_savings(spec.shared_network(), spec.dtype)
@@ -418,9 +356,9 @@ def run_workload(
             quant_savings=savings,
         )
     if batch:
-        return BatchedPipeline(
-            spec, cnn_batching=cnn_batching, prefix_cache_mb=prefix_cache_mb
-        ).run_workload(clips)
+        return BatchedPipeline(spec, prefix_cache_mb=prefix_cache_mb).run_workload(
+            clips
+        )
     start = time.perf_counter()
     results = spec.build().run_clips(clips)
     wall = time.perf_counter() - start

@@ -29,7 +29,7 @@ pieces that :class:`~repro.runtime.serving.ServingRuntime` composes:
   per lane and records every change as a :class:`ScaleEvent`; the DES
   and supervised-process backends both drive it.
 * :class:`ServerConfig` — the validated configuration object that
-  replaced ``ServingRuntime.__init__``'s nine keyword knobs, and
+  replaced ``ServingRuntime.__init__``'s keyword knobs, and
   :class:`Backend` — the protocol all serve entrypoints implement, so
   ``serve()`` dispatches on a resolved backend instead of branching
   inline.
@@ -619,16 +619,14 @@ class Autoscaler:
 
 
 # -------------------------------------------------------------------- #
-# server configuration — the nine-knob collapse
+# server configuration
 # -------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ServerConfig:
     """Validated configuration for :class:`ServingRuntime`.
 
-    Collapses the historical nine keyword knobs into one object (the
-    old keywords still work as deprecated aliases on ``ServingRuntime``
-    and emit a single :class:`DeprecationWarning`).  Field validation
-    happens here; *plan/lane* validation — which needs the router —
+    Collapses the historical keyword knobs into one object.  Field
+    validation happens here; *plan/lane* validation — which needs the router —
     happens when the runtime is constructed with a spec.
     """
 
@@ -642,8 +640,6 @@ class ServerConfig:
     #: "static" round-robin slices or a "shared" per-lane queue.
     #: Autoscaling requires the shared queue and coerces this field.
     admission: str = "static"
-    #: charge pipelined steps their concurrent-overlap duration.
-    overlap_timeline: bool = False
     #: deterministic fault injection (shared-admission backends only).
     fault_plan: FaultPlan = None  # normalized to FaultPlan() below
     #: failure detection / recovery knobs.
@@ -708,8 +704,6 @@ class ServerConfig:
                         backend=self.shard_backend)
         object.__setattr__(self, "max_batch", int(self.max_batch))
         object.__setattr__(self, "serve_workers", int(self.serve_workers))
-        object.__setattr__(self, "overlap_timeline",
-                           bool(self.overlap_timeline))
         object.__setattr__(self, "virtual_time", bool(self.virtual_time))
         if self.fault_plan is None:
             object.__setattr__(self, "fault_plan", FaultPlan())

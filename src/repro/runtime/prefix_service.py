@@ -30,10 +30,10 @@ bit:
   ``Network.load_state_dict`` bumps ``weight_version``, so a live
   weight swap invalidates without draining the cache explicitly.
 
-Speculation stays sound for free: ``cnn_prefix`` lives in the executor's
-*mid* segment, which only ever runs on committed steps — a rolled-back
-speculative head has executed RFBME/decide at most, so neither fused
-results nor cache entries can be poisoned by a rollback.
+``cnn_prefix`` is the first stage of
+:meth:`~repro.runtime.stage_graph.StageExecutor.finish_step`, so the
+flush always sits between a round's final key decisions and any CNN
+work — the barrier the executor's two-phase split exists for.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ __all__ = ["PrefixStats", "PrefixService"]
 
 @dataclass
 class PrefixStats:
-    """Counters for one serve/run (mirrors the executor's stats objects)."""
+    """Counters for one serve/run."""
 
     #: fused ``run_prefix`` executions that combined key rows from more
     #: than one registered lane request.

@@ -13,17 +13,8 @@ The serving layer is split along the line a deployment would draw:
   queue, all driving the declared stage graph
   (:func:`~repro.runtime.stage_graph.frame_lifecycle_graph`) one step at
   a time through a :class:`~repro.runtime.stage_graph.StageExecutor`.
-  With a ``pipeline_depth=2`` spec the worker software-pipelines every
-  step it can: at provably stable membership (full occupancy, no
-  departure due) the handoff is definite, and across uncertain
-  boundaries — possible admissions or evictions — it speculates
-  (``spec.speculate``, default on): the surviving residents' next step
-  is launched under a policy-state checkpoint and rolled back + replayed
-  if membership actually changes.  Double-buffered and bit-identical in
-  every case; :class:`ServingReport` surfaces the engagement and
-  rollback rates.  A worker runs
-  in-process, or — because its execution state is the picklable
-  :class:`~repro.core.stages.LaneState` recipe away from a
+  A worker runs in-process, or — because its execution state is the
+  picklable :class:`~repro.core.stages.LaneState` recipe away from a
   spec — inside a worker process, where it builds **its own** network
   and plan (plan-per-worker ownership: live plans never cross a process
   boundary; see :meth:`~repro.nn.network.Network.__getstate__`).
@@ -80,8 +71,7 @@ ingestion is bounded by queue-depth watermarks
 an :class:`~repro.runtime.frontdoor.AutoscalePolicy` can grow and
 shrink a lane's shard pool from observed queue depth and deadline
 slack, and configuration lives in one validated
-:class:`~repro.runtime.frontdoor.ServerConfig` (the historical keyword
-knobs survive as deprecated aliases).  ``serve()`` dispatches on a
+:class:`~repro.runtime.frontdoor.ServerConfig`.  ``serve()`` dispatches on a
 resolved :class:`~repro.runtime.frontdoor.Backend` — in-process loop,
 static shards, or shared admission — instead of branching inline.
 """
@@ -89,7 +79,6 @@ static shards, or shared admission — instead of branching inline.
 from __future__ import annotations
 
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -298,12 +287,6 @@ class ShardInfo:
     wall_seconds: float
     idle_seconds: float
     steps: int
-    #: steps that consumed a pipelined (precomputed) head.
-    pipelined_steps: int = 0
-    #: speculative head launches.
-    speculated: int = 0
-    #: speculative launches rolled back (membership mismatch/abandon).
-    rollbacks: int = 0
     #: fused prefix batches this shard's service executed (0 when the
     #: shard ran without a prefix service or nothing coincided).
     prefix_fused_batches: int = 0
@@ -348,13 +331,6 @@ class ServingReport:
     #: how sharded requests were assigned: "static" round-robin slices
     #: or a "shared" per-lane admission queue (work stealing).
     admission: str = "static"
-    #: steps that consumed a pipelined (precomputed) head, across all
-    #: lanes and shards.  0 on a sequential (pipeline_depth=1) run.
-    pipelined_steps: int = 0
-    #: speculative head launches across all lanes and shards.
-    speculated: int = 0
-    #: speculative launches rolled back on a membership mismatch.
-    rollbacks: int = 0
     #: requests dropped because their deadline passed while queued —
     #: explicit rejections, never silent.  ``records`` holds completed
     #: requests only; every submission is exactly one of the two.
@@ -431,21 +407,6 @@ class ServingReport:
     def mean_occupancy(self) -> float:
         """Average clips resident per step (frames served per step)."""
         return self.total_frames / self.steps if self.steps else 0.0
-
-    @property
-    def speculation_engagement(self) -> float:
-        """Fraction of steps whose head was precomputed in flight.
-
-        Counts definite and speculative overlaps alike — it answers
-        "how often did pipelining actually engage", which PR 5 could
-        only say yes to at provably stable membership.
-        """
-        return self.pipelined_steps / self.steps if self.steps else 0.0
-
-    @property
-    def rollback_rate(self) -> float:
-        """Fraction of speculative launches that were rolled back."""
-        return self.rollbacks / self.speculated if self.speculated else 0.0
 
     @property
     def prefix_hit_rate(self) -> float:
@@ -560,14 +521,6 @@ class ServingReport:
             rows.append(["peak shards", peak])
         if self.backpressure_pauses:
             rows.append(["backpressure pauses", self.backpressure_pauses])
-        if self.pipelined_steps or self.speculated:
-            rows.append(["pipelined steps", self.pipelined_steps])
-            rows.append(
-                ["speculation engagement",
-                 round(self.speculation_engagement, 3)]
-            )
-            rows.append(["rollbacks", self.rollbacks])
-            rows.append(["rollback rate", round(self.rollback_rate, 3)])
         if (self.prefix_fused_batches or self.prefix_cache_hits
                 or self.prefix_cache_misses):
             rows.append(["prefix batches fused", self.prefix_fused_batches])
@@ -666,27 +619,10 @@ class LaneWorker:
             plan_handle.resolve(capacity)  # compile at capacity up front
         self.state = LaneState(slots=slots, plan=plan_handle)
         self.graph = frame_lifecycle_graph(planned=plan_handle is not None)
-        self.executor = StageExecutor(
-            self.graph, pipeline_depth=spec.pipeline_depth
-        )
-        #: whether uncertain step boundaries may pipeline speculatively.
-        #: Requires a speculation-safe graph: the legacy graph's head
-        #: includes per-clip CNN execution (un-checkpointable key
-        #: state), so it falls back to PR 5's stable-only overlap.
-        self.speculate = spec.speculate and self.executor.speculation_safe
-        #: the pipelined next-step batch (its head stages already ran).
-        self._pending: Optional[StepBatch] = None
-        #: the in-flight (batch, positions, env) between ``begin_step``
-        #: and its ``finish_step``.
+        self.executor = StageExecutor(self.graph)
+        #: the in-flight (positions, env) between ``begin_step`` and its
+        #: ``finish_step``.
         self._round = None
-        #: lazy double-buffer engine for pipelined RFBME.
-        self._shadow_engine = None
-        #: memoised ``[occupancy, min frames remaining]`` behind the
-        #: stability predicate; None = must rescan (membership event).
-        self._stable_cache: Optional[List[int]] = None
-        #: how many times the stability predicate actually scanned the
-        #: slots (membership events), vs. answering from the cache.
-        self._membership_scans = 0
         self.residents: List[Optional[_Resident]] = [None] * capacity
         self.queue: "deque[Tuple[int, ClipRequest]]" = deque()
 
@@ -714,18 +650,14 @@ class LaneWorker:
         slot.policy.reset()
         slot.cursor = 0
         self.residents[index] = _Resident(seq, request, now)
-        self._stable_cache = None  # membership changed: predicate rescans
 
-    def _build_batch(self, positions: List[int], advance: int = 0,
-                     engine=None) -> StepBatch:
-        """The step batch ``advance`` frames ahead of the slot cursors."""
+    def _build_batch(self, positions: List[int]) -> StepBatch:
+        """The step batch at the slot cursors."""
         return StepBatch(
             state=self.state,
             positions=positions,
             frames=[
-                self.residents[i].request.clip.frames[
-                    self.state.slots[i].cursor + advance
-                ]
+                self.residents[i].request.clip.frames[self.state.slots[i].cursor]
                 for i in positions
             ],
             plan=(
@@ -733,37 +665,8 @@ class LaneWorker:
                 if self.state.plan
                 else None
             ),
-            cursors=[self.state.slots[i].cursor + advance for i in positions],
-            engine=engine,
             prefix_service=self.prefix_service,
         )
-
-    def _membership_stable(self, positions: List[int]) -> bool:
-        """Whether the next step is *guaranteed* to run these same slots.
-
-        True only when every slot is occupied (a free slot could admit a
-        queued request at the next boundary) and no resident serves its
-        last frame this step (no departure frees a slot).  This is the
-        full-occupancy steady state, where the pipelined next batch is
-        definite — no checkpoint needed; anywhere else the worker may
-        still overlap, but only speculatively.
-
-        The scan is memoised: membership only changes at admissions and
-        departures, so between membership events the predicate answers
-        from a cached ``[occupancy, min frames remaining]`` pair that
-        :meth:`step` decrements as cursors advance — a lockstep-like run
-        (everyone admitted up front, equal lengths) pays exactly one
-        scan, not one per step.
-        """
-        if self._stable_cache is None:
-            self._membership_scans += 1
-            remaining = [
-                len(self.residents[i].request.clip) - self.state.slots[i].cursor
-                for i in positions
-            ]
-            self._stable_cache = [len(positions), min(remaining, default=0)]
-        occupancy, min_remaining = self._stable_cache
-        return occupancy == self.capacity and min_remaining > 1
 
     def step(self) -> List[_Resident]:
         """Serve one frame of every resident clip; return departures.
@@ -773,28 +676,16 @@ class LaneWorker:
         clip-local cursors, then the batched (or legacy per-clip) CNN
         stages.  Slots whose clip finished release their executor and
         free up for the next admission.
-
-        With a pipelined spec (``pipeline_depth >= 2``) the next step's
-        RFBME/decisions are launched against this step's CNN tail
-        (double-buffered engine) and picked up by the next :meth:`step`
-        call.  At provably stable membership the handoff is *definite*;
-        anywhere else — a free slot that might admit, a departure due —
-        the worker (``spec.speculate``) hands over the *survivors*
-        batch speculatively: the clips certain to still be resident
-        continue at their next cursors, and if an admission changes
-        membership the executor rolls the speculation back and replays
-        (bit-identical, the overlap is merely forfeited for that step).
         """
         self.begin_step(register=False)
         return self.finish_step()
 
     def begin_step(self, register: bool = True) -> None:
-        """Phase 1 of a serve round: head stages + this step's decisions.
+        """Phase 1 of a serve round: RFBME + this step's decisions.
 
-        Resolves the step batch (reusing or discarding a pipelined
-        handoff), runs the stage executor up to the coalescing barrier —
-        so the step's key-frame decisions are final, including any
-        speculation rollback — and, with ``register=True``, registers
+        Builds the step batch and runs the stage executor up to the
+        coalescing barrier — so the step's key-frame decisions are
+        final — and, with ``register=True``, registers
         the key rows with the worker's prefix service for the round's
         :meth:`~repro.runtime.prefix_service.PrefixService.flush`.  Must
         be paired with exactly one :meth:`finish_step`.
@@ -802,60 +693,17 @@ class LaneWorker:
         positions = [
             i for i, resident in enumerate(self.residents) if resident is not None
         ]
-        batch = None
-        if self._pending is not None:
-            pending, self._pending = self._pending, None
-            if list(pending.positions) == positions and all(
-                pending.cursors[k] == self.state.slots[i].cursor
-                for k, i in enumerate(positions)
-            ):
-                batch = pending  # the pipelined head is for this step
-            else:
-                # Membership changed under a speculative handoff; the
-                # executor recognises the fresh batch is not the one it
-                # speculated on, rolls back, and replays the head.
-                batch = self._build_batch(positions)
-        if batch is None:
-            batch = self._build_batch(positions)
+        batch = self._build_batch(positions)
         env = self.executor.begin_step(batch)
-        self._round = (batch, positions, env)
+        self._round = (positions, env)
         if register and self.prefix_service is not None:
             self.prefix_service.prepare(batch, env.get("decisions"))
 
     def finish_step(self) -> List[_Resident]:
-        """Phase 2 of a serve round: CNN stages, handoff, bookkeeping."""
-        batch, positions, env = self._round
+        """Phase 2 of a serve round: CNN stages and bookkeeping."""
+        positions, env = self._round
         self._round = None
-        next_batch = None
-        speculative = False
-        if self.executor.pipelined:
-            if self._membership_stable(positions):
-                survivors = positions
-            elif self.speculate:
-                # Slots past their last frame depart this step for sure;
-                # everyone else survives into step t+1 (admissions can
-                # only fill *other* slots).
-                survivors = [
-                    i
-                    for i in positions
-                    if self.state.slots[i].cursor + 1
-                    < len(self.residents[i].request.clip)
-                ]
-                speculative = True
-            else:
-                survivors = []
-            if survivors:
-                if self._shadow_engine is None:
-                    self._shadow_engine = self.state.build_pipeline_engine()
-                # Alternate engines between the two in-flight contexts.
-                alternate = (
-                    self._shadow_engine if batch.engine is None else None
-                )
-                next_batch = self._build_batch(survivors, advance=1,
-                                               engine=alternate)
-                self._pending = next_batch
-        self.executor.finish_step(env, next_batch=next_batch,
-                                  speculative=speculative)
+        self.executor.finish_step(env)
         finished: List[_Resident] = []
         for k, i in enumerate(positions):
             resident = self.residents[i]
@@ -867,37 +715,7 @@ class LaneWorker:
                 slot.policy = None
                 self.residents[i] = None
                 finished.append(resident)
-        if finished:
-            self._stable_cache = None  # departures: predicate rescans
-        elif self._stable_cache is not None:
-            self._stable_cache[1] -= 1  # same slots, one frame closer
         return finished
-
-    def overlap_credit(
-        self, raw_step_seconds: float, inline_cpu_seconds: float
-    ) -> float:
-        """Concurrent-overlap timeline credit for the step just run.
-
-        On a core-starved host the pipelined head time-slices the same
-        CPU as the tail it nominally overlaps, so the measured wall
-        duration of a step is ``head + tail`` (plus whatever the OS
-        preempted) rather than what a concurrent deployment realizes:
-        the classic two-stage pipeline bound ``max(head, tail)``.  The
-        credit is the difference between the raw wall duration and that
-        modeled duration — ``max(inline CPU, joined-head CPU)`` when the
-        step consumed an in-flight head, plain inline CPU otherwise
-        (rolled-back heads replay inline, so their cost is already in
-        the inline term and the wasted speculative work stays hidden,
-        exactly as it would be on a spare core).  Charging CPU time
-        rather than wall slices keeps the attribution per-step exact:
-        the *next* head's work, which physically executes inside this
-        step's wall window on one core, is charged to the step that
-        joins it.  This is the per-step analogue of the shard-scaling
-        benchmark's per-shard-clock convention.
-        """
-        head_busy = self.executor.consume_joined_head_busy()
-        modeled = max(inline_cpu_seconds, head_busy)
-        return max(0.0, raw_step_seconds - modeled)
 
     def serve_shard(
         self,
@@ -911,7 +729,6 @@ class LaneWorker:
         virtual-time idle skipping, on this shard's own clock.
         """
         clock = clock or time.perf_counter
-        self.executor.reset_stats()
         if self.prefix_service is not None:
             self.prefix_service.reset_stats()
         # Router-less pair door: seqs are preassigned by the parent, so
@@ -921,7 +738,6 @@ class LaneWorker:
             [self], lambda request: self, door, clock,
             prefix_service=self.prefix_service,
         )
-        stats = self.executor.stats
         prefix = (
             self.prefix_service.stats if self.prefix_service is not None
             else None
@@ -933,9 +749,6 @@ class LaneWorker:
             wall_seconds=wall,
             idle_seconds=idle,
             steps=steps,
-            pipelined_steps=stats.pipelined_steps,
-            speculated=stats.speculated,
-            rollbacks=stats.rollbacks,
             shed=shed,
             prefix_fused_batches=prefix.fused_batches if prefix else 0,
             prefix_cache_hits=prefix.hits if prefix else 0,
@@ -946,10 +759,7 @@ class LaneWorker:
 
     def release(self) -> None:
         """Drop resident state and hand plan scratch back."""
-        self._pending = None
         self._round = None
-        self._stable_cache = None
-        self.executor.close()  # rolls back any abandoned speculation
         for index, resident in enumerate(self.residents):
             if resident is not None:
                 self.state.slots[index].executor.release()
@@ -1067,9 +877,6 @@ class _ShardOutcome:
     wall_seconds: float
     idle_seconds: float
     steps: int
-    pipelined_steps: int = 0
-    speculated: int = 0
-    rollbacks: int = 0
     #: requests this shard shed at its admission boundary.
     shed: List[ShedRecord] = field(default_factory=list)
     #: per-shard prefix-service counters (0s when shards shared one
@@ -1092,9 +899,6 @@ class _ShardOutcome:
             wall_seconds=self.wall_seconds,
             idle_seconds=self.idle_seconds,
             steps=self.steps,
-            pipelined_steps=self.pipelined_steps,
-            speculated=self.speculated,
-            rollbacks=self.rollbacks,
             prefix_fused_batches=self.prefix_fused_batches,
             prefix_cache_hits=self.prefix_cache_hits,
             prefix_cache_misses=self.prefix_cache_misses,
@@ -1558,9 +1362,6 @@ def _serve_work_stealing(
             wall_seconds=busy[worker],
             idle_seconds=idle[worker],
             steps=steps[worker],
-            pipelined_steps=worker.executor.stats.pipelined_steps,
-            speculated=worker.executor.stats.speculated,
-            rollbacks=worker.executor.stats.rollbacks,
         )
         for worker in workers
     ]
@@ -1572,7 +1373,6 @@ def _serve_loop(
     route: Callable[[ClipRequest], LaneWorker],
     door: FrontDoor,
     clock: Callable[[], float],
-    overlap_timeline: bool = False,
     prefix_service: Optional[PrefixService] = None,
 ) -> Tuple[Dict[int, RequestRecord], float, float, int, List[ShedRecord]]:
     """The continuous-batching serve loop over a set of lane workers.
@@ -1589,23 +1389,18 @@ def _serve_loop(
     never served late), and admission among waiting requests is
     earliest-deadline-first — deadline-less traffic keeps the
     historical FIFO order exactly.
-    With ``overlap_timeline`` each pipelined step is charged its
-    concurrent-overlap duration (:meth:`LaneWorker.overlap_credit`)
-    instead of the host-serialized one, so latency accounting is
-    comparable across hosts with any core count.
 
     ``prefix_service`` — the workers' shared
     :class:`~repro.runtime.prefix_service.PrefixService` (every worker's
     ``prefix_service`` attribute must be this instance) — turns each
     multi-worker step round into two phases: every active worker
-    ``begin_step`` calls (head stages + key decisions), the service
+    ``begin_step`` calls (RFBME + key decisions), the service
     flushes once (fusing coincident key-frame prefixes across lanes
     into one plan call and answering repeats from the content cache),
     then every worker ``finish_step`` calls.  Bit-identical to per-worker
-    stepping; with one active worker (or ``overlap_timeline``, whose
-    per-step wall attribution a shared flush would blur) the loop
-    falls back to plain ``step()`` and the service still serves its
-    cache on the direct path.
+    stepping; with one active worker the loop falls back to plain
+    ``step()`` and the service still serves its cache on the direct
+    path.
     Returns ``(records by seq, busy seconds, idle seconds, steps,
     shed)``.
     """
@@ -1613,11 +1408,10 @@ def _serve_loop(
     shed: List[ShedRecord] = []
     steps = 0
     skipped = 0.0
-    credited = 0.0
     start = clock()
 
     def now() -> float:
-        return (clock() - start) + skipped - credited
+        return (clock() - start) + skipped
 
     while not door.exhausted or any(
         worker.queue or worker.has_active() for worker in workers
@@ -1671,7 +1465,6 @@ def _serve_loop(
         if (
             prefix_service is not None
             and prefix_service.coalesce
-            and not overlap_timeline
             and len(active) > 1
         ):
             # Two-phase round: decisions for every lane first, one
@@ -1685,18 +1478,10 @@ def _serve_loop(
                 _finalize_step(worker, finished, now(), done)
             continue
         for worker in active:
-            if overlap_timeline:
-                step_start = now()
-                cpu_start = time.thread_time()
-                finished = worker.step()
-                inline_cpu = time.thread_time() - cpu_start
-                raw = now() - step_start
-                credited += worker.overlap_credit(raw, inline_cpu)
-            else:
-                finished = worker.step()
+            finished = worker.step()
             steps += 1
             _finalize_step(worker, finished, now(), done)
-    wall = clock() - start - credited
+    wall = clock() - start
     return done, wall, skipped, steps, shed
 
 
@@ -1747,65 +1532,24 @@ class ServingRuntime:
 
     Configuration lives in one validated
     :class:`~repro.runtime.frontdoor.ServerConfig` —
-    ``ServingRuntime(spec, ServerConfig(...))``.  The historical
-    keyword knobs (``max_batch=...``, ``serve_workers=...``, …) still
-    work as deprecated aliases and emit one :class:`DeprecationWarning`
-    per construction.
+    ``ServingRuntime(spec, ServerConfig(...))``.
     """
-
-    #: the legacy keyword knobs accepted as deprecated aliases.
-    _CONFIG_ALIASES = (
-        "max_batch", "clock", "serve_workers", "shard_backend",
-        "admission", "overlap_timeline", "fault_plan", "supervisor",
-    )
 
     def __init__(
         self,
         spec: Union[PipelineSpec, Mapping[str, PipelineSpec]],
-        config: Optional[Union[ServerConfig, int]] = None,
-        **legacy,
+        config: Optional[ServerConfig] = None,
     ):
         if isinstance(spec, PipelineSpec):
             specs: Dict[str, PipelineSpec] = {"default": spec}
         else:
             specs = dict(spec)
-        if config is not None and not isinstance(config, ServerConfig):
-            # Historical positional form: ServingRuntime(spec, max_batch).
-            if isinstance(config, int):
-                legacy.setdefault("max_batch", config)
-                config = None
-            else:
-                raise TypeError(
-                    f"config must be a ServerConfig, got "
-                    f"{type(config).__name__}"
-                )
-        if legacy:
-            unknown = sorted(
-                name for name in legacy if name not in self._CONFIG_ALIASES
-            )
-            if unknown:
-                raise TypeError(
-                    f"unknown keyword argument(s) {unknown}; "
-                    f"ServingRuntime accepts a ServerConfig plus the "
-                    f"deprecated aliases {list(self._CONFIG_ALIASES)}"
-                )
-            if config is not None:
-                raise TypeError(
-                    "pass either a ServerConfig or the deprecated "
-                    "keyword aliases, not both"
-                )
-            warnings.warn(
-                "ServingRuntime(spec, max_batch=..., serve_workers=..., "
-                "...) keywords are deprecated; pass "
-                "ServingRuntime(spec, ServerConfig(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            legacy.setdefault("fault_plan", None)
-            legacy.setdefault("supervisor", None)
-            config = ServerConfig(**legacy)
         if config is None:
             config = ServerConfig()
+        elif not isinstance(config, ServerConfig):
+            raise TypeError(
+                f"config must be a ServerConfig, got {type(config).__name__}"
+            )
         #: the validated :class:`ServerConfig` this runtime serves under.
         self.config = config
         if config.inference_dtype is not None:
@@ -1847,10 +1591,6 @@ class ServingRuntime:
     @property
     def admission(self) -> str:
         return self.config.admission
-
-    @property
-    def overlap_timeline(self) -> bool:
-        return self.config.overlap_timeline
 
     @property
     def fault_plan(self) -> FaultPlan:
@@ -1966,11 +1706,9 @@ class ServingRuntime:
         # key frames fuse cross-lane and the content cache is global.
         service = self._build_prefix_service()
         for worker in workers:
-            worker.executor.reset_stats()  # per-serve counters
             worker.prefix_service = service
         done, wall, idle, steps, shed = _serve_loop(
             workers, self.lane_for, door, self.clock,
-            overlap_timeline=self.overlap_timeline,
             prefix_service=service,
         )
         lane_dtypes, lane_savings = self._lane_quant_info()
@@ -1983,15 +1721,6 @@ class ServingRuntime:
             serve_workers=1,
             admission=self.admission,
             shed=sorted(shed, key=lambda record: record.seq),
-            pipelined_steps=sum(
-                worker.executor.stats.pipelined_steps for worker in workers
-            ),
-            speculated=sum(
-                worker.executor.stats.speculated for worker in workers
-            ),
-            rollbacks=sum(
-                worker.executor.stats.rollbacks for worker in workers
-            ),
             prefix_fused_batches=service.stats.fused_batches,
             prefix_cache_hits=service.stats.hits,
             prefix_cache_misses=service.stats.misses,
@@ -2075,9 +1804,6 @@ class ServingRuntime:
             serve_workers=self.serve_workers,
             shards=shards,
             admission=self.admission,
-            pipelined_steps=sum(s.pipelined_steps for s in shards),
-            speculated=sum(s.speculated for s in shards),
-            rollbacks=sum(s.rollbacks for s in shards),
             shed=sorted(all_shed, key=lambda record: record.seq),
             retries=retries,
             failovers=failovers,
@@ -2307,7 +2033,7 @@ class InProcessBackend(Backend):
 
     name = "in-process"
     capabilities = frozenset(
-        {"streaming", "watermarks", "overlap-timeline", "virtual-time"}
+        {"streaming", "watermarks", "virtual-time"}
     )
 
     def serve(self, door: FrontDoor) -> ServingReport:

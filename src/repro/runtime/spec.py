@@ -73,17 +73,6 @@ class PipelineSpec:
     #: trade bit-identity for throughput under a calibrated
     #: :class:`~repro.nn.quantize.QuantTolerance` contract.
     dtype: str = "float64"
-    #: runtime step pipelining depth (see
-    #: :class:`~repro.core.amc.AMCConfig`): 1 = sequential steps, 2 =
-    #: software-pipeline RFBME/decide of step t+1 against the CNN stages
-    #: of step t.  Bit-identical either way.
-    pipeline_depth: int = 1
-    #: allow *speculative* pipelining across uncertain step boundaries
-    #: (serving admissions/evictions): checkpoint, overlap, roll back +
-    #: replay on a membership mismatch.  Default on — results are
-    #: bit-identical regardless; False restores PR 5's stable-only
-    #: overlap.  No effect at pipeline_depth=1.
-    speculate: bool = True
 
     def __post_init__(self):
         if self.policy not in _POLICIES:
@@ -109,8 +98,6 @@ class PipelineSpec:
             rfbme_profile=self.rfbme_profile,
             cnn_engine=self.cnn_engine,
             dtype=self.dtype,
-            pipeline_depth=self.pipeline_depth,
-            speculate=self.speculate,
         )
 
     def build_policy(self) -> KeyFramePolicy:

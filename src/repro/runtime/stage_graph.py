@@ -3,7 +3,7 @@
 :class:`StageGraph` turns the lockstep step from an inlined call
 sequence into a *schedulable object*: named :class:`Stage`\\ s with typed
 dataflow inputs/outputs **and** declared :class:`~repro.core.stages`
-resource read/write sets, topologically scheduled from their
+resource write sets, topologically scheduled from their
 declarations (declaration order only breaks ties), validated at
 construction, and executed over a shared value environment.  The stage
 bodies are the pure functions of :mod:`repro.core.stages`; this module
@@ -25,36 +25,15 @@ apart: :class:`UndeclaredInputError` (an input no stage produces),
 time, opt-in — :class:`WriteSetViolationError` (a stage mutated lane
 state it never declared).
 
-**Pipelining.**  :class:`StageExecutor` runs a graph step after step.
-At ``pipeline_depth=1`` that is plain sequential execution.  At depth 2
-it keeps *two in-flight step contexts*: the graph's declared resource
-sets prove which prefix of step ``t+1`` conflicts with which suffix of
-step ``t`` (:meth:`StageGraph.overlap_split`), and the executor
-software-pipelines the conflict-free head — ``rfbme``/``decide`` on the
-lifecycle graphs — into step ``t``'s tail window
-(``warp``/``cnn_suffix``/``record``), on a worker thread.  The head's
-RFBME runs on a double-buffered engine (``StepBatch.engine``) and each
-context carries its own cursor snapshot, so the overlapped steps touch
-disjoint state and every output stays **bit-identical** to sequential
-execution.
-
-**Speculation.**  A *definite* handoff (``speculative=False``) promises
-the executor that ``next_batch`` IS the following step — ``decide``
-mutates policy state, so breaking that promise raises
-:class:`PipelineContractError`.  A *speculative* handoff
-(``speculative=True``) drops the promise: before the head launches, the
-executor snapshots every :data:`~repro.core.stages.CHECKPOINT_RESOURCES`
-resource of the speculated batch (the :class:`Checkpointable` contract —
-policies checkpoint their mutable state, cursors are plain ints), and
-if the batch actually submitted next is a *different* object the
-executor quiesces the in-flight head, rolls the snapshot back, records
-a named :class:`RollbackEvent`, and replays the head inline against the
-true batch.  Either way every output is bit-identical to sequential
-execution; speculation only moves work, never results.  The lockstep
-driver still hands over definite batches (its step stream is static);
-the serving worker speculates across possible admissions/evictions and
-eats the occasional rollback.  :class:`SpeculationStats` counts steps,
-engaged overlaps, speculative launches, and rollbacks per executor.
+**Execution.**  :class:`StageExecutor` runs a graph one step at a time,
+split in two phases at the ``cnn_prefix`` barrier: :meth:`~StageExecutor.
+begin_step` runs everything up to the key-frame decisions, and
+:meth:`~StageExecutor.finish_step` runs the CNN stages onward.  A serve
+round begins every lane's step, lets a shared
+:class:`~repro.runtime.prefix_service.PrefixService` fuse their key
+frames, then finishes each lane; :meth:`~StageExecutor.step` is exactly
+the two phases back to back, so both shapes are bit-identical to
+running the schedule straight through.
 
 Seeding: :meth:`StageGraph.run` accepts precomputed values; a stage
 whose outputs are all seeded is skipped.  That is how callers that
@@ -65,30 +44,11 @@ execute_batched_step`'s entries) reuse the rest of the graph.
 from __future__ import annotations
 
 import functools
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import stages as _stages
-from ..core.stages import (
-    CHECKED_RESOURCES,
-    CHECKPOINT_RESOURCES,
-    StepBatch,
-    checkpoint_resource,
-    fingerprint_resource,
-    restore_resource,
-)
+from ..core.stages import CHECKED_RESOURCES, StepBatch, fingerprint_resource
 
 __all__ = [
     "Stage",
@@ -100,10 +60,6 @@ __all__ = [
     "UndeclaredInputError",
     "DuplicateOutputError",
     "WriteSetViolationError",
-    "PipelineContractError",
-    "Checkpointable",
-    "RollbackEvent",
-    "SpeculationStats",
 ]
 
 #: the seed value every graph starts from (the step's working set).
@@ -130,96 +86,15 @@ class WriteSetViolationError(StageGraphError):
     """A stage mutated a lane-state resource outside its declared write set."""
 
 
-class PipelineContractError(RuntimeError):
-    """A pipelined next-batch handoff broke the executor's contract.
-
-    For a *definite* handoff (``speculative=False``) the batch submitted
-    to the following :meth:`StageExecutor.step` must be the exact
-    ``next_batch`` object that was pipelined — without a checkpoint the
-    head's effects (``decide`` mutates policy state) are irreversible,
-    so the executor stops before running anything against the mismatched
-    batch.  Also raised when a *speculative* handoff is requested on a
-    graph whose head writes a resource that cannot be checkpointed
-    (:attr:`StageExecutor.speculation_safe`), and when a seed supplies a
-    value the in-flight head already computed.  Mismatches under a
-    speculative handoff do NOT raise: they roll back and replay.
-    """
-
-
-@runtime_checkable
-class Checkpointable(Protocol):
-    """Structural contract for objects holding checkpointable resources.
-
-    ``checkpoint()`` returns an opaque snapshot of all mutable state;
-    ``rollback(snapshot)`` restores it exactly — after the round trip
-    the object is observationally identical (same future behaviour, same
-    :func:`~repro.core.stages.fingerprint_resource`) to the moment of
-    the checkpoint, and one snapshot may be restored any number of
-    times.  :class:`~repro.core.keyframe.KeyFramePolicy` implements
-    this; the protocol is structural (``typing.Protocol``) so the core
-    layer never has to import the runtime to participate.
-    """
-
-    def checkpoint(self) -> object: ...
-
-    def rollback(self, snapshot: object) -> None: ...
-
-
-@dataclass(frozen=True)
-class RollbackEvent:
-    """One named rollback of a speculative head.
-
-    ``step`` is the executor's step count when the rollback happened;
-    ``reason`` names why — ``"membership-mismatch"`` (the submitted
-    batch was not the speculated one) or ``"abandoned"`` (the executor
-    was closed with a speculative head still in flight); ``positions``
-    are the speculated batch's slot positions (empty for non-lane
-    batches).
-    """
-
-    step: int
-    reason: str
-    positions: Tuple[int, ...] = ()
-
-
-@dataclass
-class SpeculationStats:
-    """What one :class:`StageExecutor` did with its overlap window.
-
-    ``steps`` counts every :meth:`StageExecutor.step` call;
-    ``pipelined_steps`` the steps that consumed an in-flight head
-    (definite or speculative hit) — the engaged overlaps;
-    ``speculated`` the speculative head launches; ``rollbacks`` the
-    speculative launches that were rolled back (mismatch or abandon).
-    """
-
-    steps: int = 0
-    pipelined_steps: int = 0
-    speculated: int = 0
-    rollbacks: int = 0
-    events: List[RollbackEvent] = field(default_factory=list)
-
-    @property
-    def engagement(self) -> float:
-        """Fraction of steps that ran with their head precomputed."""
-        return self.pipelined_steps / self.steps if self.steps else 0.0
-
-    @property
-    def rollback_rate(self) -> float:
-        """Fraction of speculative launches that were rolled back."""
-        return self.rollbacks / self.speculated if self.speculated else 0.0
-
-
 @dataclass(frozen=True)
 class Stage:
     """One declared stage: a pure function with named inputs/outputs.
 
-    ``reads``/``writes`` are the stage's declared
-    :class:`~repro.core.stages` resource sets — defaulted from the
-    ``reads``/``writes`` attributes its function was declared with
-    (see ``core.stages._effects``), empty otherwise.  Dataflow names
-    order stages within a step; the resource sets prove which stages of
-    *consecutive* steps may overlap.
+    ``writes`` is the stage's declared :class:`~repro.core.stages`
+    resource write set — defaulted from the ``writes`` attribute its
+    function was declared with (see ``core.stages._effects``), empty
+    otherwise.  Dataflow names order stages within a step; the write set
+    is what :meth:`StageGraph.run` checks with ``enforce_writes``.
     """
 
     name: str
@@ -229,33 +104,16 @@ class Stage:
     #: environment names bound to ``fn``'s return value (one name binds
     #: the value itself; several unpack it).
     outputs: Tuple[str, ...]
-    #: lane-state resources read / written (conflict analysis).
-    reads: frozenset = field(default=None)
+    #: lane-state resources the stage may mutate.
     writes: frozenset = field(default=None)
 
     def __post_init__(self):
         if not self.outputs:
             raise StageGraphError(f"stage {self.name!r} declares no outputs")
-        if self.reads is None:
-            object.__setattr__(
-                self, "reads", frozenset(getattr(self.fn, "reads", ()))
-            )
         if self.writes is None:
             object.__setattr__(
                 self, "writes", frozenset(getattr(self.fn, "writes", ()))
             )
-
-    def conflicts_with(self, other: "Stage") -> bool:
-        """Whether this stage and ``other`` may NOT be reordered/overlapped.
-
-        The classic dependence test over declared resources: a conflict
-        exists iff one stage writes something the other reads or writes.
-        Read-read sharing is free.
-        """
-        return bool(
-            self.writes & (other.reads | other.writes)
-            or other.writes & self.reads
-        )
 
 
 class StageGraph:
@@ -318,7 +176,6 @@ class StageGraph:
             schedule.append(ready)
         self.stages: Tuple[Stage, ...] = tuple(schedule)
         self.produces = frozenset(available - {_SEED})
-        self._overlap_split: Optional[Tuple[Tuple[Stage, ...], ...]] = None
 
     def __iter__(self):
         return iter(self.stages)
@@ -381,370 +238,64 @@ class StageGraph:
         self._run_stages(self.stages, env, enforce_writes=enforce_writes)
         return env
 
-    # ------------------------------------------------------------------ #
-    def overlap_split(self) -> Tuple[Tuple[Stage, ...], ...]:
-        """``(head, mid, tail)``: the graph's software-pipeline shape.
-
-        ``head`` is a prefix of the schedule, ``tail`` a suffix, chosen
-        so that no head stage conflicts (declared resources) with any
-        tail stage — which is exactly the proof that step ``t+1``'s head
-        may run while step ``t``'s tail is still in flight.  ``mid`` is
-        whatever sits between: it must finish in step ``t`` before the
-        next head starts (on the lifecycle graphs that is ``cnn_prefix``,
-        whose key-state adoption the next ``rfbme`` reads).  Among valid
-        splits the largest tail wins (it is the overlap window), then
-        the largest head; an empty head or tail means the graph cannot
-        pipeline.  Memoised on the instance (geometry never changes).
-        """
-        if self._overlap_split is not None:
-            return self._overlap_split
-        schedule = self.stages
-        n = len(schedule)
-        best = (0, 0, 0)  # (tail_len, head_len, tail_start)
-        for head_len in range(1, n):
-            head = schedule[:head_len]
-            tail_start = n
-            for index in range(n - 1, head_len - 1, -1):
-                if any(h.conflicts_with(schedule[index]) for h in head):
-                    break
-                tail_start = index
-            tail_len = n - tail_start
-            if (tail_len, head_len) > best[:2]:
-                best = (tail_len, head_len, tail_start)
-        tail_len, head_len, tail_start = best
-        if tail_len == 0:
-            self._overlap_split = ((), tuple(schedule), ())
-        else:
-            self._overlap_split = (
-                tuple(schedule[:head_len]),
-                tuple(schedule[head_len:tail_start]),
-                tuple(schedule[tail_start:]),
-            )
-        return self._overlap_split
-
 
 class StageExecutor:
-    """Dependency-driven step executor over one :class:`StageGraph`.
+    """Step executor over one :class:`StageGraph`, split at a barrier.
 
-    ``pipeline_depth=1`` (default) runs each step's full schedule
-    sequentially.  ``pipeline_depth>=2`` keeps two in-flight step
-    contexts: when :meth:`step` is handed the *definite* next batch, the
-    graph's conflict-free head of step ``t+1`` is launched on a worker
-    thread while step ``t``'s tail runs on the caller's thread — RFBME
-    (a GIL-releasing compiled/BLAS call on the hot backends) genuinely
-    overlaps the CNN stages.  The caller alternates
-    ``StepBatch.engine`` between the lane engine and
-    :meth:`~repro.core.stages.LaneState.build_pipeline_engine`'s double
-    buffer so the two contexts' scratch never collides; every other
-    piece of touched state is disjoint by the declared read/write sets,
-    so results are bit-identical to sequential execution.
-
-    One executor serves one lane/driver at a time; it is not itself
-    thread-safe (the worker thread is an implementation detail).
+    Each step runs the graph's schedule once, sequentially, in two
+    phases: :meth:`begin_step` runs the stages before ``cnn_prefix`` (on
+    the lifecycle graphs, ``rfbme`` and ``decide``) and
+    :meth:`finish_step` runs ``cnn_prefix`` onward.  Graphs without a
+    ``cnn_prefix`` stage run everything in phase 1.  The executor holds
+    no per-step state, so one instance may serve a lane for its whole
+    lifetime.
     """
 
-    def __init__(self, graph: StageGraph, pipeline_depth: int = 1):
-        if pipeline_depth < 1:
-            raise ValueError(
-                f"pipeline_depth must be >= 1, got {pipeline_depth}"
-            )
+    def __init__(self, graph: StageGraph):
         self.graph = graph
-        self.pipeline_depth = int(pipeline_depth)
-        if self.pipeline_depth > 1:
-            head, mid, tail = graph.overlap_split()
-        else:
-            head, mid, tail = (), graph.stages, ()
-        self.head = head
-        self.mid = mid
-        self.tail = tail
-        # The coalescing barrier: a serve round may pause between a
-        # step's key decisions and its CNN stages so a shared
-        # PrefixService can fuse coincident key frames across lanes
-        # (see begin_step/finish_step).  Everything before the barrier
-        # runs in phase 1, everything from it onward in phase 2; graphs
-        # without a ``cnn_prefix`` stage put all of mid in phase 1.
         barrier = next(
-            (i for i, stage in enumerate(self.mid)
+            (i for i, stage in enumerate(graph.stages)
              if stage.name == "cnn_prefix"),
-            len(self.mid),
+            len(graph.stages),
         )
-        self._mid_pre = tuple(self.mid[:barrier])
-        self._mid_post = tuple(self.mid[barrier:])
-        #: (batch, future, checkpoint, busy_cell) of the in-flight head;
-        #: the checkpoint is None for a definite (non-speculative)
-        #: handoff, and busy_cell receives the head's measured busy
-        #: seconds once the future resolves.
-        self._inflight: Optional[Tuple[StepBatch, object, object, list]] = None
-        self._worker: Optional[ThreadPoolExecutor] = None
-        #: busy seconds of the most recently joined head (consumed by
-        #: :meth:`consume_joined_head_busy`).
-        self._joined_head_busy = 0.0
-        #: per-executor speculation/pipelining counters.
-        self.stats = SpeculationStats()
-        #: union of the head stages' declared write sets — what a
-        #: speculative checkpoint must cover.
-        self._head_writes = frozenset().union(
-            *(stage.writes for stage in self.head)
-        ) if self.head else frozenset()
-
-    @property
-    def pipelined(self) -> bool:
-        """Whether this executor can overlap consecutive steps at all."""
-        return bool(self.head) and bool(self.tail)
-
-    @property
-    def speculation_safe(self) -> bool:
-        """Whether the head's persistent writes can all be rolled back.
-
-        The head stages may write scratch resources freely (dead between
-        steps by definition) but every *persistent* resource they write
-        must be checkpointable — on the lifecycle graphs that is
-        ``decide``'s :data:`~repro.core.stages.POLICY_STATE`.  A graph
-        whose head writes, say, key state cannot speculate: there is no
-        checkpoint to roll back to.
-        """
-        persistent = frozenset(CHECKED_RESOURCES)
-        checkpointable = frozenset(CHECKPOINT_RESOURCES)
-        for stage in self.head:
-            if (stage.writes & persistent) - checkpointable:
-                return False
-        return True
-
-    def reset_stats(self) -> None:
-        """Start a fresh :class:`SpeculationStats` window (per serve)."""
-        self.stats = SpeculationStats()
-
-    def consume_joined_head_busy(self) -> float:
-        """Busy seconds of the head joined during the latest step, once.
-
-        Returns 0.0 when the step joined no in-flight head (sequential
-        step, or the first step of a stream).  The value is consumed:
-        a second call before the next join returns 0.0.  This is the
-        measurement behind serving's concurrent-overlap timeline — on a
-        core-starved host the head and tail time-slice one CPU, so the
-        measured step duration is their *sum*; charging
-        ``sum - min(head_busy, sum - head_busy)`` instead models the
-        ``max(head, tail)`` a concurrent deployment realizes, the same
-        convention the shard-scaling benchmark uses for its per-shard
-        clocks.
-        """
-        busy, self._joined_head_busy = self._joined_head_busy, 0.0
-        return busy
-
-    # ------------------------------------------------------------------ #
-    def _run_head(self, env: Dict[str, object]) -> Dict[str, object]:
-        self.graph._run_stages(self.head, env)
-        return env
-
-    def _launch_head(
-        self, next_batch: StepBatch, speculative: bool = False
-    ) -> None:
-        checkpoint = None
-        if speculative:
-            # Snapshot BEFORE the head can run: the worker thread starts
-            # mutating policy state the moment the future is submitted.
-            # Only resources the head *writes* are captured — rolling
-            # back anything else (e.g. cursors, which the driver
-            # advances between launch and join) would undo legitimate
-            # non-head mutations.
-            checkpoint = {
-                resource: checkpoint_resource(next_batch, resource)
-                for resource in CHECKPOINT_RESOURCES
-                if resource in self._head_writes
-            }
-            self.stats.speculated += 1
-        env: Dict[str, object] = {_SEED: next_batch}
-        if self._worker is None:
-            self._worker = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="stage-head"
-            )
-        # The head measures its own busy seconds on the worker thread;
-        # the cell is final once the future resolves.  Serving's
-        # concurrent-overlap timeline reads it through
-        # :meth:`consume_joined_head_busy` to credit the overlap window.
-        # Thread CPU time, not wall time: on a core-starved host the
-        # head thread's wall clock includes GIL waits behind the tail,
-        # which would understate the hideable window by however long the
-        # scheduler happened to interleave the two.
-        busy_cell = [0.0]
-
-        def run_timed() -> Dict[str, object]:
-            start = time.thread_time()
-            try:
-                return self._run_head(env)
-            finally:
-                busy_cell[0] = time.thread_time() - start
-
-        future = self._worker.submit(run_timed)
-        self._inflight = (next_batch, future, checkpoint, busy_cell)
-
-    def _rollback(
-        self, batch: StepBatch, checkpoint: Mapping[str, object], reason: str
-    ) -> None:
-        """Undo a speculative head's effects and record the named event."""
-        for resource, snapshot in checkpoint.items():
-            restore_resource(batch, resource, snapshot)
-        self.stats.rollbacks += 1
-        self.stats.events.append(
-            RollbackEvent(
-                step=self.stats.steps,
-                reason=reason,
-                positions=tuple(getattr(batch, "positions", ()) or ()),
-            )
-        )
-
-    def _join(
-        self, batch: StepBatch, seed: Optional[Mapping[str, object]]
-    ) -> Dict[str, object]:
-        """The step's environment with head stages complete."""
-        if self._inflight is None:
-            env: Dict[str, object] = {_SEED: batch}
-            if seed:
-                env.update(seed)
-            self.graph._run_stages(self.head, env)
-            return env
-        expected, future, checkpoint, busy_cell = self._inflight
-        self._inflight = None
-        if expected is not batch:
-            if checkpoint is None:
-                future.result()  # surface head failures before complaining
-                raise PipelineContractError(
-                    "the batch submitted to step() is not the next_batch "
-                    "the previous step pipelined; a definite handoff must "
-                    "be honoured (no checkpoint to roll back to) — "
-                    "pipeline with speculative=True when the next step "
-                    "is uncertain"
-                )
-            # Speculation missed: quiesce the in-flight head (it may
-            # still be mutating policy state on the worker thread), roll
-            # its effects back, and replay the head against the batch
-            # that actually arrived.  A head failure still surfaces, but
-            # only after the rollback restored consistent state.
-            try:
-                future.result()
-            finally:
-                self._joined_head_busy = busy_cell[0]
-                self._rollback(expected, checkpoint, "membership-mismatch")
-            env = {_SEED: batch}
-            if seed:
-                env.update(seed)
-            self.graph._run_stages(self.head, env)
-            return env
-        env = future.result()
-        self._joined_head_busy = busy_cell[0]
-        self.stats.pipelined_steps += 1
-        if seed:
-            # Head outputs were already computed in flight — a seed for
-            # them arrives too late to honour, and silently preferring
-            # either value would hide the conflict.
-            head_outputs = {
-                name for stage in self.head for name in stage.outputs
-            }
-            clashes = sorted(set(seed) & head_outputs)
-            if clashes:
-                raise PipelineContractError(
-                    f"seed supplies {clashes}, which the pipelined head "
-                    f"already computed; seed head-stage outputs only on "
-                    f"steps that were not pipelined into"
-                )
-            env.update(seed)
-        return env
+        self._pre = graph.stages[:barrier]
+        self._post = graph.stages[barrier:]
 
     def step(
         self,
         batch: StepBatch,
-        next_batch: Optional[StepBatch] = None,
         seed: Optional[Mapping[str, object]] = None,
-        speculative: bool = False,
     ) -> Dict[str, object]:
-        """Execute one full step; optionally pipeline into the next.
-
-        ``next_batch`` — when given and the graph pipelines — launches
-        the next step's head stages now, overlapped with this step's
-        tail.  With ``speculative=False`` (default) the handoff is
-        *definite*: it MUST be the exact batch of the following
-        :meth:`step` call, because the head's effects (policy state
-        advanced by ``decide``) are applied permanently.  With
-        ``speculative=True`` the executor checkpoints the speculated
-        batch's :data:`~repro.core.stages.CHECKPOINT_RESOURCES` first;
-        if the following step submits a different batch the head's
-        effects are rolled back and the head replayed — results are
-        bit-identical either way, a miss just forfeits the overlap.
-        Pass ``next_batch=None`` when there is nothing to pipeline.
-        """
-        env = self.begin_step(batch, seed)
-        return self.finish_step(
-            env, next_batch=next_batch, speculative=speculative
-        )
+        """Execute one full step; returns its environment."""
+        return self.finish_step(self.begin_step(batch, seed))
 
     def begin_step(
         self,
         batch: StepBatch,
         seed: Optional[Mapping[str, object]] = None,
     ) -> Dict[str, object]:
-        """Phase 1 of a two-phase step: everything up to the coalescing
-        barrier.
+        """Phase 1 of a step: everything up to the ``cnn_prefix`` barrier.
 
-        Joins (or runs inline) the head stages and the pre-barrier slice
-        of ``mid``, so on the lifecycle graphs the returned env already
-        holds this step's final ``decisions`` — including any rollback +
-        replay a mispredicted speculative head required.  A serve round
-        may ``begin_step`` every lane, hand their key-frame requests to
-        a shared :class:`~repro.runtime.prefix_service.PrefixService`,
-        flush it once, and only then :meth:`finish_step` each lane.
-        :meth:`step` is exactly ``begin_step`` + ``finish_step``, so the
-        two-phase round is bit-identical to sequential stepping.
+        On the lifecycle graphs the returned env already holds this
+        step's final ``decisions``.  A serve round may ``begin_step``
+        every lane, hand their key-frame requests to a shared
+        :class:`~repro.runtime.prefix_service.PrefixService`, flush it
+        once, and only then :meth:`finish_step` each lane.
         """
-        self.stats.steps += 1
-        env = self._join(batch, seed)
-        self.graph._run_stages(self._mid_pre, env)
+        env: Dict[str, object] = {_SEED: batch}
+        if seed:
+            env.update(seed)
+        self.graph._run_stages(self._pre, env)
         return env
 
-    def finish_step(
-        self,
-        env: Dict[str, object],
-        next_batch: Optional[StepBatch] = None,
-        speculative: bool = False,
-    ) -> Dict[str, object]:
-        """Phase 2 of a two-phase step: the barrier onward.
+    def finish_step(self, env: Dict[str, object]) -> Dict[str, object]:
+        """Phase 2 of a step: the barrier onward.
 
-        Runs the CNN stages (``cnn_prefix`` consults the batch's prefix
-        service, if any, for rows staged by the round's flush), launches
-        the next head per :meth:`step`'s contract, then runs the tail.
+        ``cnn_prefix`` consults the batch's prefix service, if any, for
+        rows staged by the round's flush.
         """
-        self.graph._run_stages(self._mid_post, env)
-        if next_batch is not None and self.pipelined:
-            if speculative and not self.speculation_safe:
-                raise PipelineContractError(
-                    "cannot speculate on this graph: its head writes a "
-                    "persistent resource outside CHECKPOINT_RESOURCES, "
-                    "so a mispredicted head could not be rolled back"
-                )
-            self._launch_head(next_batch, speculative=speculative)
-        self.graph._run_stages(self.tail, env)
+        self.graph._run_stages(self._post, env)
         return env
-
-    def close(self) -> None:
-        """Join any in-flight head and release the worker thread.
-
-        The executor remains usable afterwards (the worker is rebuilt on
-        the next pipelined launch); callers that pipelined to a batch
-        they will never submit must close to avoid leaking the thread.
-        An abandoned *speculative* head is rolled back — its decide
-        effects never happened as far as lane state is concerned.
-        """
-        if self._inflight is not None:
-            expected, future, checkpoint, _busy = self._inflight
-            self._inflight = None
-            try:
-                future.result()
-            except Exception:
-                pass  # the step that owned this head was abandoned
-            if checkpoint is not None:
-                self._rollback(expected, checkpoint, "abandoned")
-        if self._worker is not None:
-            self._worker.shutdown(wait=True)
-            self._worker = None
 
 
 @functools.lru_cache(maxsize=None)
@@ -757,7 +308,7 @@ def frame_lifecycle_graph(planned: bool = True) -> StageGraph:
     stateless declarations, so each shape is built once and shared by
     every caller (lockstep and serving run the same objects).
     """
-    head = [
+    front = [
         Stage("rfbme", _stages.stage_rfbme, ("batch",), ("estimations",)),
         Stage("decide", _stages.stage_decide, ("batch", "estimations"),
               ("decisions",)),
@@ -777,8 +328,8 @@ def frame_lifecycle_graph(planned: bool = True) -> StageGraph:
             Stage("legacy_cnn", _stages.stage_legacy_cnn,
                   ("batch", "decisions", "estimations"), ("outputs",)),
         ]
-    tail = [
+    back = [
         Stage("record", _stages.stage_record,
               ("batch", "decisions", "estimations", "outputs"), ("records",)),
     ]
-    return StageGraph(head + body + tail)
+    return StageGraph(front + body + back)

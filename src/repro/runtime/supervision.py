@@ -554,15 +554,11 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
                 start -= float(item[1])
             elif item[0] != "go":
                 worker.admit(item[0], item[1], now())
-    stats = worker.executor.stats
     prefix = worker.prefix_service.stats
     task.events.put(("done", task.lane, task.shard, {
         "wall": busy,
         "idle": idle,
         "steps": steps,
-        "pipelined": stats.pipelined_steps,
-        "speculated": stats.speculated,
-        "rollbacks": stats.rollbacks,
         "prefix_fused": prefix.fused_batches,
         "prefix_hits": prefix.hits,
         "prefix_misses": prefix.misses,
@@ -1045,9 +1041,6 @@ class ShardSupervisor:
                 wall_seconds=tail.get("wall", 0.0),
                 idle_seconds=tail.get("idle", 0.0),
                 steps=tail.get("steps", 0),
-                pipelined_steps=tail.get("pipelined", 0),
-                speculated=tail.get("speculated", 0),
-                rollbacks=tail.get("rollbacks", 0),
                 prefix_fused_batches=tail.get("prefix_fused", 0),
                 prefix_cache_hits=tail.get("prefix_hits", 0),
                 prefix_cache_misses=tail.get("prefix_misses", 0),

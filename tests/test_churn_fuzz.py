@@ -1,15 +1,16 @@
-"""Churn-fuzz differential harness: speculative serving vs ground truth.
+"""Churn-fuzz differential harness: serving under churn vs ground truth.
 
 Each seed derives a complete serving scenario — clip count, ragged
 lengths (forcing mid-flight evictions), a scenario mix with hard scene
 cuts spliced at step boundaries, lane capacity, and a bursty Poisson
 arrival trace (forcing mid-flight admissions) — then serves it three
-ways: per-clip serial (ground truth), sequential serving
-(``pipeline_depth=1``), and speculative pipelined serving
-(``pipeline_depth=2``, ``speculate=True``).  Every path must produce
-bit-identical frames, key-frame decisions, and per-clip RFBME op counts.
-A failing seed is a real bug in the checkpoint/rollback machinery, never
-fuzz noise: everything is deterministic given the seed.
+ways: per-clip serial (ground truth), plain serving, and serving with
+the content-addressed prefix cache on (``prefix_cache_mb=16``), whose
+entries are inserted and looked up while slots are admitted and evicted
+around them.  Every path must produce bit-identical frames, key-frame
+decisions, and per-clip RFBME op counts.  A failing seed is a real bug
+in slot reuse, admission bookkeeping or the prefix cache, never fuzz
+noise: everything is deterministic given the seed.
 
 CI hooks:
 
@@ -88,8 +89,8 @@ def _spliced_clip(first, second, seed, num_frames):
     """A clip with a hard scene cut: two scenarios spliced mid-stream.
 
     The cut lands on a frame boundary — exactly where serving admits and
-    evicts — so adaptive policies flip to a key frame right where the
-    speculative head may already be in flight."""
+    evicts — so adaptive policies flip to a key frame right where slot
+    membership may be changing."""
     cut = num_frames // 2
     head = generate_clip(scenario(first), seed=seed, num_frames=cut)
     tail = generate_clip(
@@ -157,20 +158,23 @@ def _dump_trace(label, trace):
     (path / f"{label}.json").write_text(json.dumps(trace, indent=2))
 
 
-def _spec(backend, policy, depth, speculate=True):
+def _spec(backend, policy, cnn_engine="planned"):
     spec = PipelineSpec(
         network=NETWORK,
         policy=policy,
         rfbme_backend=backend,
-        pipeline_depth=depth,
-        speculate=speculate,
+        cnn_engine=cnn_engine,
     )
     spec.warm()
     return spec
 
 
-def _serve(spec, clips, arrivals, capacity):
-    runtime = ServingRuntime(spec, ServerConfig(max_batch=capacity, clock=FakeClock()))
+def _serve(spec, clips, arrivals, capacity, prefix_cache_mb=0.0):
+    runtime = ServingRuntime(
+        spec,
+        ServerConfig(max_batch=capacity, clock=FakeClock(),
+                     prefix_cache_mb=prefix_cache_mb),
+    )
     return runtime.serve(_requests(clips, arrivals))
 
 
@@ -195,101 +199,51 @@ def _clip_ops(result):
 @pytest.mark.parametrize("backend", LANES)
 @pytest.mark.parametrize("seed", _fuzz_seeds())
 def test_churn_fuzz_differential(seed, backend):
-    """The tentpole contract, fuzzed: a seeded churn trace served
-    speculatively is bit-identical to its sequential and serial runs."""
+    """The serving contract, fuzzed: a seeded churn trace served plain
+    and with the prefix cache is bit-identical to its serial run."""
     trace, clips = _make_scenario(seed)
     _dump_trace(f"fuzz_seed{seed}_{backend}", trace)
 
-    sequential = _spec(backend, trace["policy"], depth=1)
-    serial = run_workload(sequential, clips, batch=False)
+    spec = _spec(backend, trace["policy"])
+    serial = run_workload(spec, clips, batch=False)
 
-    seq_report = _serve(sequential, clips, trace["arrivals"], trace["capacity"])
-    _assert_identical(seq_report, serial)
-    assert seq_report.speculated == 0 and seq_report.rollbacks == 0
+    plain = _serve(spec, clips, trace["arrivals"], trace["capacity"])
+    _assert_identical(plain, serial)
 
-    speculative = _spec(backend, trace["policy"], depth=2, speculate=True)
-    spec_report = _serve(
-        speculative, clips, trace["arrivals"], trace["capacity"]
+    cached = _serve(
+        spec, clips, trace["arrivals"], trace["capacity"], prefix_cache_mb=16
     )
-    _assert_identical(spec_report, serial)
-    # The machinery must actually engage: with churn traffic, every step
-    # with a surviving resident launches a head (definite or speculative).
-    assert spec_report.pipelined_steps + spec_report.speculated > 0
-    assert 0.0 <= spec_report.rollback_rate <= 1.0
+    _assert_identical(cached, serial)
+    # Every key frame consults the cache, so lookups must have happened.
+    assert cached.prefix_cache_hits + cached.prefix_cache_misses > 0
 
 
 class TestForcedChurn:
-    """Deterministic worst-case trace: speculation is forced to
-    mispredict, so the rollback path itself is what's under test."""
+    """Deterministic worst-case trace: a partly filled lane whose late
+    wave of admissions lands while the early residents are mid-clip."""
 
     @pytest.fixture(scope="class")
     def churn_trace(self):
-        # Capacity 3 but only 2 residents at t=0: never provably stable,
-        # so every launch is speculative; the late wave of admissions
-        # lands mid-flight and invalidates in-flight heads.
+        # Capacity 3 but only 2 residents at t=0; the late wave of
+        # admissions lands mid-flight and changes membership repeatedly.
         early = synthetic_workload(2, num_frames=8, base_seed=31)
         late = synthetic_workload(3, num_frames=5, base_seed=47)
         clips = early + late
         arrivals = [0.0, 0.0, 0.006, 0.012, 0.018]
         return clips, arrivals
 
-    def test_rollbacks_fire_and_identity_holds(self, churn_trace):
+    @pytest.mark.parametrize(
+        "cnn_engine, policy",
+        [
+            ("planned", "match_error"),
+            ("planned", "static"),
+            ("legacy", "match_error"),
+            ("legacy", "static"),
+        ],
+    )
+    def test_identity_holds(self, churn_trace, cnn_engine, policy):
         clips, arrivals = churn_trace
-        spec = _spec(None, "match_error", depth=2, speculate=True)
+        spec = _spec(None, policy, cnn_engine=cnn_engine)
         serial = run_workload(spec, clips, batch=False)
         report = _serve(spec, clips, arrivals, capacity=3)
         _assert_identical(report, serial)
-        assert report.speculated > 0
-        assert report.rollbacks > 0
-        assert report.rollback_rate > 0.0
-        assert report.speculation_engagement > 0.0
-
-    def test_rollback_events_are_named(self, churn_trace):
-        clips, arrivals = churn_trace
-        spec = _spec(None, "match_error", depth=2, speculate=True)
-        runtime = ServingRuntime(spec, ServerConfig(max_batch=3, clock=FakeClock()))
-        runtime.serve(_requests(clips, arrivals))
-        events = runtime.lanes["default"].executor.stats.events
-        assert events, "forced-churn trace produced no rollback events"
-        assert {event.reason for event in events} <= {
-            "membership-mismatch",
-            "abandoned",
-        }
-        assert all(event.step > 0 for event in events)
-        assert any(event.positions for event in events)
-
-    def test_speculation_off_restores_stable_only_overlap(self, churn_trace):
-        """--no-speculate is the PR 5 behaviour: identical bits, zero
-        speculative launches, zero rollbacks."""
-        clips, arrivals = churn_trace
-        spec = _spec(None, "match_error", depth=2, speculate=False)
-        serial = run_workload(spec, clips, batch=False)
-        report = _serve(spec, clips, arrivals, capacity=3)
-        _assert_identical(report, serial)
-        assert report.speculated == 0
-        assert report.rollbacks == 0
-
-    def test_legacy_engine_falls_back_to_stable_overlap(self, churn_trace):
-        """The legacy graph's head runs per-clip CNNs (un-checkpointable
-        key state), so the worker must refuse to speculate on it and
-        serve the churn trace with PR 5's stable-only overlap instead."""
-        clips, arrivals = churn_trace
-        spec = PipelineSpec(
-            network=NETWORK, cnn_engine="legacy", pipeline_depth=2
-        )
-        serial = run_workload(spec, clips, batch=False)
-        report = _serve(spec, clips, arrivals, capacity=3)
-        _assert_identical(report, serial)
-        assert report.speculated == 0
-        assert report.rollbacks == 0
-
-    def test_static_policy_counter_survives_rollback(self, churn_trace):
-        """StaticPolicy's interval counter is pure policy state — a
-        missed rollback would shift every later key decision, so this
-        pins the checkpoint contract on the most state-sensitive policy."""
-        clips, arrivals = churn_trace
-        spec = _spec(None, "static", depth=2, speculate=True)
-        serial = run_workload(spec, clips, batch=False)
-        report = _serve(spec, clips, arrivals, capacity=3)
-        _assert_identical(report, serial)
-        assert report.rollbacks > 0

@@ -70,14 +70,6 @@ class TestCLI:
         assert "enqueue p99 ms" in out
         assert "bit-identical to its serial run: yes" in out
 
-    def test_run_pipelined_workload(self, capsys):
-        assert main([
-            "run", "--clips", "3", "--batch", "--frames", "5",
-            "--scenario", "static", "--pipeline-depth", "2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "lockstep" in out
-
     def test_serve_shared_admission_verify(self, capsys):
         assert main([
             "serve", "--clips", "4", "--frames", "4", "--max-batch", "2",
@@ -89,22 +81,6 @@ class TestCLI:
         assert "admission" in out
         assert "shared" in out
         assert "bit-identical to its serial run: yes" in out
-
-    def test_serve_pipelined_verify(self, capsys):
-        assert main([
-            "serve", "--clips", "4", "--frames", "4", "--max-batch", "2",
-            "--arrival-rate", "500", "--scenario", "static",
-            "--pipeline-depth", "2", "--verify",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "bit-identical to its serial run: yes" in out
-
-    def test_bad_pipeline_depth_rejected(self, capsys):
-        assert main(["run", "--clips", "2", "--batch",
-                     "--pipeline-depth", "0"]) == 2
-        assert "--pipeline-depth" in capsys.readouterr().err
-        assert main(["serve", "--pipeline-depth", "0"]) == 2
-        assert "--pipeline-depth" in capsys.readouterr().err
 
     def test_serve_bad_serve_workers_rejected(self, capsys):
         assert main(["serve", "--serve-workers", "0"]) == 2

@@ -9,9 +9,8 @@ Three contracts under test:
   queue) and under any fleet shape (fixed shards, autoscaled 1→N,
   virtual-time process admission) yields clip results bit-identical to
   the serial run;
-* :class:`ServerConfig` is the one validated way to shape the server,
-  with the legacy keyword aliases kept alive behind a single
-  :class:`DeprecationWarning`.
+* :class:`ServerConfig` is the one validated way to shape the server:
+  ``ServingRuntime`` takes no configuration keywords of its own.
 """
 
 import threading
@@ -180,20 +179,15 @@ class TestServerConfig:
         assert config.admission == "shared"
         assert config.pool_workers == 3
 
-    def test_deprecated_kwargs_work_with_one_warning(self, spec, clips,
-                                                     serial_result):
-        with pytest.warns(DeprecationWarning, match="ServerConfig"):
-            runtime = ServingRuntime(spec, max_batch=4)
-        assert runtime.max_batch == 4
-        _assert_identical(runtime.serve(_requests(clips)), serial_result)
-
     def test_config_plus_kwargs_rejected(self, spec):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="serve_workers"):
             ServingRuntime(spec, ServerConfig(max_batch=2), serve_workers=2)
 
     def test_unknown_kwarg_rejected(self, spec):
-        with pytest.raises(TypeError, match="max_batch"):
+        with pytest.raises(TypeError, match="shard_count"):
             ServingRuntime(spec, shard_count=2)
+        with pytest.raises(TypeError, match="ServerConfig"):
+            ServingRuntime(spec, 4)  # a bare max_batch is not a config
 
     def test_fault_plan_unknown_lane_rejected_for_elastic_fleet(self, spec):
         # Validation lives where the router is: an autoscaled (elastic)

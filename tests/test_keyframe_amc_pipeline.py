@@ -14,8 +14,22 @@ from repro.core import (
     StaticPolicy,
 )
 from repro.core.rfbme import OpCounts, RFBMEResult
+from repro.core.sad_kernel import get_kernel
 from repro.motion.vector_field import VectorField, zero_field
 from repro.video import generate_clip, scenario
+from repro.video.generator import VideoClip
+
+
+def nan_clip(frame, seed=0, patch=False):
+    """A 6-frame linear-motion clip with NaN pixels in ``frame``."""
+    clip = generate_clip(scenario("linear_motion"), seed=seed, num_frames=6)
+    frames = clip.frames.copy()
+    if patch:
+        frames[frame, 10:14, 10:14] = np.nan
+    else:
+        frames[frame, 5, 5] = np.nan
+    return VideoClip(frames=frames, annotations=clip.annotations,
+                     scenario=clip.scenario)
 
 
 def fake_estimation(match_error=0.0, magnitude=0.0, grid=(4, 4)):
@@ -74,6 +88,13 @@ class TestPolicies:
             policy.decide(i, fake_estimation()) for i in range(1, 7)
         ]
         assert decisions == [True, False, False, True, False, False, True]
+
+    def test_nan_metric_forces_key(self):
+        for cls, kwargs in ((MatchErrorPolicy, {"match_error": np.nan}),
+                            (MotionMagnitudePolicy, {"magnitude": np.nan})):
+            policy = cls(threshold=1e9)
+            policy.decide(0, None)
+            assert policy.decide(1, fake_estimation(**kwargs)) is True
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -235,6 +256,41 @@ class TestPipeline:
         calm_res = pipeline.run_clip(calm)
         chaos_res = pipeline.run_clip(chaos)
         assert chaos_res.num_key_frames >= calm_res.num_key_frames
+
+    def test_nan_key_frame_does_not_poison_the_clip(self, trained_fasterm):
+        """A NaN pixel in the first key frame makes the next match error
+        NaN; the policy must re-key there so only that frame's output is
+        non-finite."""
+        pipeline = EVA2Pipeline(
+            AMCExecutor(trained_fasterm, AMCConfig(mode="warp")),
+            MatchErrorPolicy(2.0),
+        )
+        result = pipeline.run_clip(nan_clip(0))
+        assert result.key_mask()[:2].tolist() == [True, True]
+        finite = np.isfinite(result.outputs()).all(axis=1)
+        assert finite.tolist() == [False] + [True] * 5
+
+    @pytest.mark.skipif(get_kernel() is None,
+                        reason="compiled SAD kernel unavailable")
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_nan_predicted_frame_backends_agree(self, trained_fasterm, seed):
+        """A NaN patch in a would-be predicted frame forces a key, so the
+        kernel and batched RFBME backends give identical outputs instead
+        of warping whatever each one's SAD reduction made of the NaN."""
+        clip = nan_clip(3, seed=seed, patch=True)
+        results = [
+            EVA2Pipeline(
+                AMCExecutor(trained_fasterm,
+                            AMCConfig(mode="warp", rfbme_backend=backend)),
+                MatchErrorPolicy(2.0),
+            ).run_clip(clip)
+            for backend in ("kernel", "batched")
+        ]
+        assert results[0].key_mask()[3]
+        np.testing.assert_array_equal(results[0].key_mask(),
+                                      results[1].key_mask())
+        np.testing.assert_array_equal(results[0].outputs(),
+                                      results[1].outputs())
 
     def test_run_clips(self, trained_fasterm, linear_clip, pan_clip):
         pipeline = EVA2Pipeline(AMCExecutor(trained_fasterm), StaticPolicy(4))

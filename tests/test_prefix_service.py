@@ -5,8 +5,8 @@ lanes/shards) or *whether* it runs (content-addressed cache hits) —
 never a single output bit.  These tests pin the accounting (fused
 batches, hits/misses/evictions), the invalidation contract
 (``load_state_dict`` bumps the weight version), and bit-identity against
-the serial pipeline across the in-process, sharded, and speculative
-serving shapes.
+the serial pipeline across the in-process and sharded serving shapes,
+including admission/eviction churn.
 """
 
 import itertools
@@ -216,13 +216,11 @@ class TestServingCache:
         assert cached.prefix_cache_hits == 4 * len(clips)
         assert cached.prefix_cache_misses == 4 * len(clips)
 
-    def test_speculative_pipeline_with_cache(self, always_spec):
-        """Rollbacks must not poison the cache: cnn_prefix only runs on
-        committed steps, so a speculated-then-rolled-back head can never
-        have written an entry.  Staggered arrivals force membership
-        mismatches; every bit must still match serial."""
-        spec = PipelineSpec(network=NETWORK, policy="static", interval=3,
-                            pipeline_depth=2, speculate=True)
+    def test_churned_serving_with_cache(self, always_spec):
+        """Cache entries outlive the slots that wrote them: staggered
+        arrivals admit and evict clips around live entries, and repeated
+        pixels must still hit without changing a bit."""
+        spec = PipelineSpec(network=NETWORK, policy="static", interval=3)
         spec.warm()
         clips = (static_stretch_workload(2, num_frames=8, stretch=4,
                                          base_seed=31)
@@ -236,8 +234,7 @@ class TestServingCache:
                          prefix_cache_mb=64.0),
         ).serve(_requests(clips, arrivals))
         _assert_identical(report, serial)
-        assert report.speculated > 0
-        assert report.rollbacks > 0
+        assert report.prefix_cache_hits > 0
 
 
 class TestCrossLaneCoalescing:

@@ -285,9 +285,10 @@ class TestBatchedPipeline:
     def test_lockstep_without_cnn_batching_matches_serial(
         self, spec, workload, serial_result
     ):
-        """The PR 1 execution shape (batched RFBME, per-clip CNN) still
-        produces identical results."""
-        lockstep = BatchedPipeline(spec, cnn_batching=False).run_workload(workload)
+        """The original lockstep shape (batched RFBME, per-clip CNN) —
+        the legacy engine's graph — still produces identical results."""
+        legacy = PipelineSpec(network=NETWORK, cnn_engine="legacy")
+        lockstep = BatchedPipeline(legacy).run_workload(workload)
         _assert_identical(lockstep, serial_result)
 
     def test_legacy_engine_and_pr1_profile_match(self, workload, serial_result):
@@ -330,11 +331,6 @@ class TestBatchedPipeline:
         lockstep = run_workload(f32, workload, batch=True)
         _assert_identical(lockstep, serial)
 
-    def test_cnn_batching_requires_planned_engine(self):
-        legacy = PipelineSpec(network=NETWORK, cnn_engine="legacy")
-        with pytest.raises(ValueError):
-            BatchedPipeline(legacy, cnn_batching=True)
-
     def test_float32_requires_planned_engine(self):
         with pytest.raises(ValueError):
             PipelineSpec(network=NETWORK, cnn_engine="legacy", dtype="float32")
@@ -359,58 +355,6 @@ class TestBatchedPipeline:
         loop_spec = PipelineSpec(network=NETWORK, rfbme_backend="loop")
         loop_result = run_workload(loop_spec, workload, batch=False)
         _assert_identical(loop_result, serial_result)
-
-
-class TestPipelinedLockstep:
-    """pipeline_depth=2: step t+1's RFBME/decide overlap step t's CNN
-    stages on a double-buffered engine — bit-identical at any depth."""
-
-    def test_pipelined_matches_serial(self, spec, workload, serial_result):
-        piped = BatchedPipeline(spec, pipeline_depth=2).run_workload(workload)
-        _assert_identical(piped, serial_result)
-
-    def test_spec_depth_reaches_lockstep(self, workload, serial_result):
-        """run_workload picks the depth up from the spec (the CLI path)."""
-        piped_spec = PipelineSpec(network=NETWORK, pipeline_depth=2)
-        piped = run_workload(piped_spec, workload, batch=True)
-        _assert_identical(piped, serial_result)
-
-    def test_pipelined_ragged_lengths(self, spec):
-        """Clips departing the lockstep mid-stream shrink the in-flight
-        batches; the pipeline keeps every remaining step overlapped."""
-        clips = synthetic_workload(2, num_frames=7, base_seed=2) + \
-            synthetic_workload(2, num_frames=3, base_seed=13)
-        serial = run_workload(spec, clips, batch=False)
-        piped = BatchedPipeline(spec, pipeline_depth=2).run_workload(clips)
-        _assert_identical(piped, serial)
-
-    def test_pipelined_memoize_network(self):
-        memo = PipelineSpec(network="mini_alexnet", pipeline_depth=2)
-        memo.warm()
-        clips = synthetic_workload(3, num_frames=5, base_seed=6)
-        serial = run_workload(memo, clips, batch=False)
-        piped = run_workload(memo, clips, batch=True)
-        _assert_identical(piped, serial)
-
-    def test_pipelined_legacy_engine(self, workload, serial_result):
-        """The legacy graph's overlap window is just `record`, but the
-        executor path must stay bit-identical there too."""
-        legacy = PipelineSpec(
-            network=NETWORK, cnn_engine="legacy", pipeline_depth=2
-        )
-        piped = run_workload(legacy, workload, batch=True)
-        _assert_identical(piped, serial_result)
-
-    def test_depth_beyond_two_behaves_as_two(self, spec, workload,
-                                             serial_result):
-        piped = BatchedPipeline(spec, pipeline_depth=4).run_workload(workload)
-        _assert_identical(piped, serial_result)
-
-    def test_bad_depth_rejected(self, spec):
-        with pytest.raises(ValueError, match="pipeline_depth"):
-            BatchedPipeline(spec, pipeline_depth=0)
-        with pytest.raises(ValueError, match="pipeline_depth"):
-            PipelineSpec(network=NETWORK, pipeline_depth=0)
 
 
 class TestWorkloadResult:

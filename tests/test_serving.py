@@ -272,152 +272,6 @@ class TestSharded:
             assert record.finish_time >= record.admit_time
 
 
-class TestPipelinedServing:
-    """pipeline_depth=2 serving: the worker overlaps the next step's
-    RFBME/decide with the current CNN tail whenever slot membership is
-    provably stable (full occupancy, no departure) and falls back to
-    sequential steps everywhere else — the PR 3 identity gauntlet must
-    hold bit-for-bit throughout."""
-
-    @pytest.fixture(scope="class")
-    def piped_spec(self):
-        spec = PipelineSpec(network=NETWORK, pipeline_depth=2)
-        spec.warm()
-        return spec
-
-    def test_oversubscribed_matches_serial(self, piped_spec, clips,
-                                           serial_result):
-        report = ServingRuntime(piped_spec, ServerConfig(max_batch=3)).serve(
-            _requests(clips)
-        )
-        _assert_identical(report, serial_result)
-
-    def test_ragged_and_staggered_match_serial(self, piped_spec):
-        mixed = (
-            synthetic_workload(2, num_frames=9, base_seed=1)
-            + synthetic_workload(3, num_frames=3, base_seed=5)
-            + synthetic_workload(2, num_frames=6, base_seed=8)
-        )
-        serial = run_workload(piped_spec, mixed, batch=False)
-        arrivals = poisson_arrival_times(len(mixed), rate=2000.0, seed=3)
-        report = ServingRuntime(piped_spec, ServerConfig(max_batch=3)).serve(
-            _requests(mixed, arrivals)
-        )
-        _assert_identical(report, serial)
-
-    def test_sharded_pipelined_matches_serial(self, piped_spec, clips,
-                                              serial_result):
-        report = ServingRuntime(
-            piped_spec, ServerConfig(max_batch=3, serve_workers=2, shard_backend="serial")
-        ).serve(_requests(clips))
-        _assert_identical(report, serial_result)
-
-    def test_runtime_reusable_across_serves(self, piped_spec, clips,
-                                            serial_result):
-        runtime = ServingRuntime(piped_spec, ServerConfig(max_batch=4))
-        for _ in range(2):
-            _assert_identical(runtime.serve(_requests(clips)), serial_result)
-        runtime.close()  # joins any in-flight pipelined head
-
-    def test_lockstep_like_run_scans_membership_once(self, piped_spec):
-        """The stability predicate is memoised: a full-occupancy
-        equal-length run pays one membership scan total, not one per
-        step — the cached [occupancy, min-remaining] pair is decremented
-        per churn-free step and only invalidated by membership events."""
-        equal = synthetic_workload(3, num_frames=8, base_seed=21)
-        serial = run_workload(piped_spec, equal, batch=False)
-        runtime = ServingRuntime(piped_spec, ServerConfig(max_batch=3,
-                                 clock=FakeClock()))
-        report = runtime.serve(_requests(equal))
-        _assert_identical(report, serial)
-        assert runtime.lanes["default"]._membership_scans == 1
-
-    def test_sequential_lane_never_scans_membership(self, spec, clips):
-        """pipeline_depth=1 never consults the stability predicate."""
-        runtime = ServingRuntime(spec, ServerConfig(max_batch=3, clock=FakeClock()))
-        runtime.serve(_requests(clips))
-        assert runtime.lanes["default"]._membership_scans == 0
-
-
-class TestSpeculationMetrics:
-    """ServingReport's rollback/engagement accounting, end to end."""
-
-    @pytest.fixture(scope="class")
-    def piped_spec(self):
-        spec = PipelineSpec(network=NETWORK, pipeline_depth=2)
-        spec.warm()
-        return spec
-
-    @pytest.fixture(scope="class")
-    def churny(self):
-        clips = (
-            synthetic_workload(2, num_frames=8, base_seed=31)
-            + synthetic_workload(3, num_frames=5, base_seed=47)
-        )
-        arrivals = [0.0, 0.0, 0.006, 0.012, 0.018]
-        return clips, arrivals
-
-    def test_stable_traffic_never_speculates(self, piped_spec):
-        """Full occupancy + equal lengths: every overlap is definite, so
-        the speculation counters stay zero while engagement is high."""
-        equal = synthetic_workload(3, num_frames=8, base_seed=21)
-        report = ServingRuntime(piped_spec, ServerConfig(max_batch=3,
-                                clock=FakeClock())).serve(_requests(equal))
-        assert report.speculated == 0
-        assert report.rollbacks == 0
-        assert report.rollback_rate == 0.0
-        assert report.pipelined_steps > 0
-        assert 0.0 < report.speculation_engagement <= 1.0
-
-    def test_forced_churn_rolls_back(self, piped_spec, churny):
-        clips, arrivals = churny
-        report = ServingRuntime(piped_spec, ServerConfig(max_batch=3,
-                                clock=FakeClock())).serve(
-            _requests(clips, arrivals)
-        )
-        assert report.speculated > 0
-        assert report.rollbacks > 0
-        assert report.rollback_rate == report.rollbacks / report.speculated
-        assert report.speculation_engagement == (
-            report.pipelined_steps / report.steps
-        )
-
-    def test_summary_rows_surface_speculation(self, piped_spec, churny):
-        clips, arrivals = churny
-        report = ServingRuntime(piped_spec, ServerConfig(max_batch=3,
-                                clock=FakeClock())).serve(
-            _requests(clips, arrivals)
-        )
-        labels = [row[0] for row in report.summary_rows()]
-        for label in ("pipelined steps", "speculation engagement",
-                      "rollbacks", "rollback rate"):
-            assert label in labels
-
-    def test_sequential_report_omits_speculation_rows(self, spec, clips):
-        report = ServingRuntime(spec, ServerConfig(max_batch=3)).serve(_requests(clips))
-        assert report.pipelined_steps == 0
-        assert report.speculated == 0
-        assert report.speculation_engagement == 0.0
-        labels = [row[0] for row in report.summary_rows()]
-        assert "rollbacks" not in labels
-
-    def test_shard_merge_sums_speculation_counters(self, piped_spec,
-                                                   churny):
-        """The metrics survive the shard-merge path: per-shard counters
-        are carried on ShardInfo and summed into the lane report."""
-        clips, arrivals = churny
-        report = ServingRuntime(
-            piped_spec, ServerConfig(max_batch=2, serve_workers=2,
-            shard_backend="serial"),
-        ).serve(_requests(clips, arrivals))
-        assert len(report.shards) == 2
-        for field in ("pipelined_steps", "speculated", "rollbacks"):
-            assert getattr(report, field) == sum(
-                getattr(shard, field) for shard in report.shards
-            )
-        assert report.pipelined_steps + report.speculated > 0
-
-
 class TestSharedAdmission:
     """admission='shared': one admission queue per lane, every shard of
     the lane steals from it.  Assignment policy must never leak into

@@ -1,13 +1,12 @@
-"""Stage-graph scheduling and the pipelined executor.
+"""Stage-graph scheduling and the two-phase step executor.
 
-PR 5 promoted :class:`~repro.runtime.stage_graph.StageGraph` from a
-validated wiring diagram into a dependency-driven executor: stages are
-topologically scheduled from their declared inputs/outputs, validation
-failures raise *named* errors, declared read/write sets prove which
-stages of consecutive steps may overlap, and
-:class:`~repro.runtime.stage_graph.StageExecutor` software-pipelines the
-conflict-free head of step ``t+1`` into step ``t``'s tail — bit-identical
-to sequential execution by construction.
+:class:`~repro.runtime.stage_graph.StageGraph` is a dependency-driven
+schedule: stages are topologically ordered from their declared
+inputs/outputs, validation failures raise *named* errors, and declared
+write sets are enforced on demand.
+:class:`~repro.runtime.stage_graph.StageExecutor` runs one step at a
+time, split at the ``cnn_prefix`` barrier into ``begin_step`` and
+``finish_step``.
 """
 
 import pytest
@@ -22,7 +21,6 @@ from repro.runtime import (
     ClipRequest,
     DuplicateOutputError,
     LaneWorker,
-    PipelineContractError,
     PipelineSpec,
     Stage,
     StageCycleError,
@@ -50,9 +48,8 @@ def clips():
     return synthetic_workload(3, num_frames=6, base_seed=4)
 
 
-def _stage(name, fn, inputs, outputs, reads=(), writes=()):
-    return Stage(name, fn, tuple(inputs), tuple(outputs),
-                 frozenset(reads), frozenset(writes))
+def _stage(name, fn, inputs, outputs, writes=()):
+    return Stage(name, fn, tuple(inputs), tuple(outputs), frozenset(writes))
 
 
 class TestValidationErrors:
@@ -166,57 +163,28 @@ class TestWriteSetEnforcement:
         )
         assert len(env["records"]) == len(batch)
 
-
-class TestOverlapSplit:
-    def test_planned_lifecycle_split(self):
-        """The paper's overlap: RFBME/decide against warp/suffix/record,
-        fenced by cnn_prefix (its key adoption feeds the next RFBME)."""
-        head, mid, tail = frame_lifecycle_graph(planned=True).overlap_split()
-        assert [stage.name for stage in head] == ["rfbme", "decide"]
-        assert [stage.name for stage in mid] == ["cnn_prefix"]
-        assert [stage.name for stage in tail] == ["warp", "cnn_suffix",
-                                                  "record"]
-
-    def test_legacy_lifecycle_split(self):
-        """legacy_cnn adopts key state, so only record can overlap it."""
-        head, mid, tail = frame_lifecycle_graph(planned=False).overlap_split()
-        assert [stage.name for stage in tail] == ["record"]
-        assert "legacy_cnn" not in {stage.name for stage in tail}
-
-    def test_conflicting_graph_does_not_pipeline(self):
-        """Every stage touching one resource leaves no overlap window."""
-        a = _stage("a", lambda batch: 1, ("batch",), ("x",),
-                   writes={KEY_STATE})
-        b = _stage("b", lambda batch, x: x, ("batch", "x"), ("y",),
-                   reads={KEY_STATE}, writes={KEY_STATE})
-        graph = StageGraph([a, b])
-        head, mid, tail = graph.overlap_split()
-        assert head == () and tail == ()
-        assert not StageExecutor(graph, pipeline_depth=2).pipelined
-
     def test_effects_default_from_stage_functions(self):
-        """Stages inherit the read/write sets their functions declare."""
+        """Stages inherit the write sets their functions declare."""
         graph = frame_lifecycle_graph(planned=True)
         by_name = {stage.name: stage for stage in graph}
-        assert by_name["rfbme"].reads == {KEY_STATE}
         assert by_name["rfbme"].writes == {ENGINE_SCRATCH}
         assert by_name["decide"].writes == {POLICY_STATE}
-        assert KEY_STATE in by_name["cnn_prefix"].writes
-        assert by_name["warp"].reads == {KEY_STATE}
+        assert by_name["cnn_prefix"].writes == {KEY_STATE, PLAN_SCRATCH}
+        assert by_name["warp"].writes == frozenset()
         assert by_name["cnn_suffix"].writes == {PLAN_SCRATCH}
         assert by_name["record"].writes == frozenset()
 
 
 class TestStageExecutor:
-    def _toy_graph(self, log):
-        """a → b → c over integer 'batches'; a may overlap b/c."""
+    def _toy_graph(self, log, barrier="b"):
+        """a → ``barrier`` → c over integer 'batches'."""
 
         def stage_a(batch):
             log.append(("a", batch))
             return batch * 10
 
         def stage_b(batch, x):
-            log.append(("b", batch))
+            log.append((barrier, batch))
             return x + 1
 
         def stage_c(batch, y):
@@ -226,131 +194,47 @@ class TestStageExecutor:
         return StageGraph(
             [
                 _stage("a", stage_a, ("batch",), ("x",)),
-                _stage("b", stage_b, ("batch", "x"), ("y",)),
+                _stage(barrier, stage_b, ("batch", "x"), ("y",)),
                 _stage("c", stage_c, ("batch", "y"), ("z",)),
             ]
         )
 
-    def test_depth_one_is_sequential(self):
+    def test_step_runs_schedule_in_order(self):
         log = []
-        executor = StageExecutor(self._toy_graph(log), pipeline_depth=1)
-        assert not executor.pipelined
-        env = executor.step(3)
+        env = StageExecutor(self._toy_graph(log)).step(3)
         assert env["z"] == 62
         assert log == [("a", 3), ("b", 3), ("c", 3)]
 
-    def test_pipelined_stream_matches_sequential(self):
-        batches = list(range(1, 7))
-        sequential = [
-            StageExecutor(self._toy_graph([]), 1).step(batch)["z"]
-            for batch in batches
-        ]
+    def test_phases_split_at_cnn_prefix(self):
+        """begin_step stops before the barrier; finish_step runs the
+        rest — together exactly one step."""
         log = []
-        executor = StageExecutor(self._toy_graph(log), pipeline_depth=2)
-        assert executor.pipelined
-        pipelined = []
-        try:
-            for t, batch in enumerate(batches):
-                next_batch = batches[t + 1] if t + 1 < len(batches) else None
-                pipelined.append(
-                    executor.step(batch, next_batch=next_batch)["z"]
-                )
-        finally:
-            executor.close()
-        assert pipelined == sequential
-        # Per-stage program order is preserved across in-flight contexts.
-        for name in "abc":
-            seen = [batch for stage, batch in log if stage == name]
-            assert seen == batches
+        executor = StageExecutor(self._toy_graph(log, barrier="cnn_prefix"))
+        env = executor.begin_step(3)
+        assert log == [("a", 3)] and "y" not in env
+        assert executor.finish_step(env)["z"] == 62
+        assert log == [("a", 3), ("cnn_prefix", 3), ("c", 3)]
 
-    def test_next_batch_must_be_definite(self):
-        executor = StageExecutor(self._toy_graph([]), pipeline_depth=2)
-        try:
-            executor.step(1, next_batch=2)
-            with pytest.raises(PipelineContractError):
-                executor.step(99)
-        finally:
-            executor.close()
-
-    def test_close_allows_reuse(self):
-        executor = StageExecutor(self._toy_graph([]), pipeline_depth=2)
-        executor.step(1, next_batch=2)
-        executor.close()  # abandons the in-flight head
-        assert executor.step(5)["z"] == 102
-        executor.close()
-
-    def test_speculative_mismatch_rolls_back_and_replays(self):
-        """A mispredicted speculative handoff must not raise: the
-        executor rolls the head back, records a named event, and replays
-        inline against the true batch — results stay sequential."""
-        sequential = [
-            StageExecutor(self._toy_graph([]), 1).step(batch)["z"]
-            for batch in (1, 2, 3)
-        ]
+    def test_graph_without_barrier_runs_in_phase_one(self):
         log = []
-        executor = StageExecutor(self._toy_graph(log), pipeline_depth=2)
-        try:
-            out = [
-                executor.step(1, next_batch=99, speculative=True)["z"],
-                executor.step(2, next_batch=3, speculative=True)["z"],
-                executor.step(3)["z"],
-            ]
-        finally:
-            executor.close()
-        assert out == sequential
-        stats = executor.stats
-        assert (stats.steps, stats.speculated) == (3, 2)
-        assert stats.rollbacks == 1  # batch 99 never arrived
-        assert stats.pipelined_steps == 1  # batch 3's head was a hit
-        assert [event.reason for event in stats.events] == [
-            "membership-mismatch"
-        ]
-        assert stats.engagement == pytest.approx(1 / 3)
-        assert stats.rollback_rate == pytest.approx(1 / 2)
-        # The mispredicted head really ran, and batch 2's head re-ran
-        # inline after the rollback.
-        assert ("a", 99) in log
-        assert ("a", 2) in log
+        executor = StageExecutor(self._toy_graph(log))
+        env = executor.begin_step(3)
+        assert env["z"] == 62
+        assert executor.finish_step(env) is env
+        assert len(log) == 3
 
-    def test_close_rolls_back_speculative_head_with_named_event(self):
-        executor = StageExecutor(self._toy_graph([]), pipeline_depth=2)
-        executor.step(1, next_batch=2, speculative=True)
-        executor.close()
-        assert executor.stats.rollbacks == 1
-        assert executor.stats.events[-1].reason == "abandoned"
-        executor.reset_stats()
-        assert executor.stats.steps == 0
-        assert executor.stats.events == []
-        assert executor.step(5)["z"] == 102  # still usable after close
-        executor.close()
-
-    def test_bad_depth_rejected(self):
-        with pytest.raises(ValueError, match="pipeline_depth"):
-            StageExecutor(self._toy_graph([]), pipeline_depth=0)
+    def test_lifecycle_barrier_follows_decide(self, spec, clips):
+        """On the lifecycle graph phase 1 ends with final decisions and
+        no CNN output yet."""
+        batch = TestWriteSetEnforcement()._occupied_batch(spec, clips)
+        executor = StageExecutor(frame_lifecycle_graph(planned=True))
+        env = executor.begin_step(batch)
+        assert set(env) == {"batch", "estimations", "decisions"}
+        assert len(executor.finish_step(env)["records"]) == len(batch)
 
     def test_seed_skips_stages_in_executor(self):
         log = []
-        executor = StageExecutor(self._toy_graph(log), pipeline_depth=1)
+        executor = StageExecutor(self._toy_graph(log))
         env = executor.step(3, seed={"x": 100})
         assert env["z"] == 202
         assert ("a", 3) not in log
-
-    def test_seed_merges_into_pipelined_step(self):
-        """Seeds for non-head values are honoured even when the step's
-        head was computed in flight; seeds for head outputs arrive too
-        late and are refused rather than silently dropped."""
-        executor = StageExecutor(self._toy_graph([]), pipeline_depth=2)
-        try:
-            executor.step(1, next_batch=2)
-            env = executor.step(2, seed={"y": 500})  # 'b' is skipped
-            assert env["z"] == 1000
-        finally:
-            executor.close()
-
-        executor = StageExecutor(self._toy_graph([]), pipeline_depth=2)
-        try:
-            executor.step(1, next_batch=2)
-            with pytest.raises(PipelineContractError, match="already"):
-                executor.step(2, seed={"x": 7})  # head output 'x'
-        finally:
-            executor.close()
