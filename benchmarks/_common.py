@@ -77,9 +77,9 @@ def normalized_metrics(data: dict) -> Dict[str, float]:
             f"{label} (x seed)": path["speedup_vs_seed"]
             for label, path in data["paths"].items()
         }
-        headline = data.get("headline_speedup_vs_pr1_lockstep")
+        headline = data.get("headline_speedup_vs_seed")
         if headline is not None:
-            metrics["planned lockstep (x pr1 lockstep)"] = headline
+            metrics["runtime headline: planned lockstep (x seed)"] = headline
         return metrics
     if "serving_vs_static" in data:  # BENCH_serving.json
         metrics = {"serving (x static lockstep)": data["serving_vs_static"]}

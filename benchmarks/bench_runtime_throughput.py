@@ -1,32 +1,27 @@
-"""Runtime throughput: the planned batched runtime vs its ancestors.
+"""Runtime throughput: the planned batched runtime vs the seed loop.
 
 A 16-clip mixed-scenario synthetic workload (the shape of multi-stream
-live-vision traffic, paper §I) runs through the execution paths this
-repo has accumulated, oldest to newest:
+live-vision traffic, paper §I) runs through three execution paths:
 
-* ``seed serial``     — the seed implementation: one clip at a time, loop
-  RFBME backend, layer-by-layer CNN;
-* ``pr1 serial``      — serial loop with PR 1's vectorized RFBME hot path
-  (pr1 host profile) and the legacy CNN;
-* ``pr1 lockstep``    — PR 1's headline: lockstep RFBME batching across
-  clips, per-clip CNN, pr1 host profile;
-* ``planned serial``  — serial loop on this release's planned inference
-  engine and fast RFBME host profile;
-* ``planned lockstep``— this release's headline: one RFBME batch, one
-  batched CNN prefix for coincident key frames, one batched warp, one
-  CNN suffix call per lockstep step;
-* ``threads``         — :class:`repro.runtime.ClipScheduler` on a thread
-  pool (informational; wins only on multi-core hosts).
+* ``seed serial``     — the seed implementation and reference oracle:
+  one clip at a time, loop RFBME backend, layer-by-layer legacy CNN;
+* ``planned serial``  — the same serial loop on the planned inference
+  engine and the fastest available RFBME backend;
+* ``planned lockstep``— the headline: one RFBME batch, one batched CNN
+  prefix for coincident key frames, one batched warp, one CNN suffix
+  call per lockstep step.
 
 Every path must produce identical outputs, key-frame decisions, and op
 counts — the speedup comes purely from host execution strategy.  The
-headline assertion is >= 3x frames/sec over the PR 1 lockstep runtime
-(and, transitively, well past the seed loop).  Results are also written
-to ``BENCH_runtime.json`` at the repo root so CI can track the perf
-trajectory per PR.
+headline assertion is >= 17.1x frames/sec over the seed loop: 3.0x the
+5.714x-seed that the retired ``pr1`` lockstep path (batched RFBME,
+per-clip CNN) recorded on the reference host, so no looser than the
+former ">= 3x pr1 lockstep" bar there (the seed loop runs once, as it did when that figure was
+recorded; the planned paths are the best of two runs).  Results are also
+written to ``BENCH_runtime.json`` at the repo root so CI can track the
+perf trajectory per PR.
 """
 
-import os
 import time
 
 import pytest
@@ -35,26 +30,20 @@ from _common import bench_json_path, write_bench_json
 from conftest import register_table
 from repro.core.rfbme import RFBMEEngine
 from repro.core.sad_kernel import kernel_available
-from repro.runtime import PipelineSpec, SchedulerConfig, run_workload, synthetic_workload
+from repro.runtime import PipelineSpec, run_workload, synthetic_workload
 
 NETWORK = "mini_fasterm"
 NUM_CLIPS = 16
 FRAMES_PER_CLIP = 16
 JSON_PATH = bench_json_path("runtime")
+#: planned lockstep must beat the seed loop by this factor (kernel hosts).
+HEADLINE_BAR = 17.1
 
 #: measured paths: label -> (spec kwargs, run kwargs).
 PATHS = {
     "seed serial": (
-        dict(cnn_engine="legacy", rfbme_profile="pr1", rfbme_backend="loop"),
+        dict(cnn_engine="legacy", rfbme_backend="loop"),
         dict(batch=False),
-    ),
-    "pr1 serial": (
-        dict(cnn_engine="legacy", rfbme_profile="pr1"),
-        dict(batch=False),
-    ),
-    "pr1 lockstep": (
-        dict(cnn_engine="legacy", rfbme_profile="pr1"),
-        dict(batch=True),
     ),
     "planned serial": (dict(), dict(batch=False)),
     "planned lockstep": (dict(), dict(batch=True)),
@@ -82,15 +71,6 @@ def test_runtime_throughput(workload):
         runs = 1 if label == "seed serial" else 2  # the seed loop is slow
         measured[label] = _best_of(runs, spec, workload, **run_kwargs)
 
-    workers = min(4, os.cpu_count() or 1)
-    if workers > 1:
-        spec = PipelineSpec(network=NETWORK)
-        measured["threads"] = _best_of(
-            1, spec, workload,
-            scheduler=SchedulerConfig(workers=workers, backend="thread"),
-        )
-        resolved["threads"] = resolved["planned lockstep"]
-
     seed = measured["seed serial"]
     rows, trajectory = [], {}
     for label, result in measured.items():
@@ -117,10 +97,7 @@ def test_runtime_throughput(workload):
         rows,
     )
 
-    pr1 = measured["pr1 lockstep"].frames_per_second
-    planned = measured["planned lockstep"].frames_per_second
-    headline = planned / pr1
-    trajectory["planned lockstep"]["speedup_vs_pr1_lockstep"] = round(headline, 3)
+    headline = trajectory["planned lockstep"]["speedup_vs_seed"]
     write_bench_json(
         JSON_PATH,
         header={"benchmark": "runtime_throughput", "network": NETWORK},
@@ -131,17 +108,17 @@ def test_runtime_throughput(workload):
             },
             "kernel_available": kernel_available(),
             "paths": trajectory,
-            "headline_speedup_vs_pr1_lockstep": round(headline, 3),
+            "headline_speedup_vs_seed": headline,
         },
     )
 
     if not kernel_available():
         pytest.skip(
             f"compiled SAD kernel unavailable; planned lockstep is "
-            f"{headline:.2f}x pr1 lockstep with NumPy hot paths only"
+            f"{headline:.2f}x the seed loop with NumPy hot paths only"
         )
-    assert headline >= 3.0, (
-        f"expected >= 3x over the PR 1 lockstep runtime, got {headline:.2f}x"
+    assert headline >= HEADLINE_BAR, (
+        f"expected >= {HEADLINE_BAR}x over the seed loop, got {headline:.2f}x"
     )
 
 

@@ -299,7 +299,7 @@ def test_shard_scaling_two_lanes(spec):
     the shared frame shape stays unambiguous) carry a balanced Poisson
     workload.  ``serve_workers=1`` interleaves both lanes in one
     process; ``serve_workers=2`` gives each lane its own shard — own
-    executors, own inference plan — on the scheduler-resolved pool
+    executors, own inference plan — on the config-resolved pool
     backend.  Identity is asserted for every served clip in both shapes.
     """
     num_requests = 24
@@ -344,7 +344,7 @@ def test_shard_scaling_two_lanes(spec):
     assert {shard.lane for shard in sharded.shards} == {"cam0", "cam1"}
 
     scaling = sharded.frames_per_second / single.frames_per_second
-    backend = sharded_runtime.shard_config.resolve(len(sharded.shards))
+    backend = sharded_runtime.config.resolve_shard_backend(len(sharded.shards))
     register_table(
         f"shard scaling ({num_requests} Poisson requests over 2 lanes, "
         f"backend={backend})",

@@ -6,9 +6,8 @@ Commands:
 * ``run``       — stream synthetic clips through the EVA2 pipeline; one
                   clip prints per-frame decisions plus accuracy, while
                   ``--clips N`` runs a multi-clip workload on the runtime
-                  layer (``--batch`` for lockstep RFBME batching,
-                  ``--workers N`` for a worker pool) and prints
-                  throughput statistics.
+                  layer (``--batch`` for lockstep execution, serial
+                  otherwise) and prints throughput statistics.
 * ``serve``     — streaming serving simulation: Poisson or bursty clip
                   arrivals (``--traffic``) admitted into a continuously
                   batched server (``--arrival-rate``, ``--max-batch``),
@@ -68,17 +67,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --clips must be >= 1", file=sys.stderr)
         return 2
     if args.clips > 1:
-        if args.batch and args.workers > 1:
-            print(
-                "error: --batch (lockstep) and --workers (pool) are "
-                "separate execution paths; pick one",
-                file=sys.stderr,
-            )
-            return 2
         return _run_workload(args, mode)
-    if args.batch or args.workers > 1:
+    if args.batch:
         print(
-            "error: --batch/--workers apply to multi-clip workloads; "
+            "error: --batch applies to multi-clip workloads; "
             "add --clips N (N > 1)",
             file=sys.stderr,
         )
@@ -90,7 +82,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         AMCConfig(
             mode=mode,
             rfbme_backend=args.rfbme,
-            cnn_engine=args.cnn,
             dtype=args.dtype,
         ),
     )
@@ -130,7 +121,6 @@ def _spec_and_clips(args: argparse.Namespace):
         threshold=args.threshold,
         interval=args.interval or 4,
         rfbme_backend=args.rfbme,
-        cnn_engine=args.cnn,
         dtype=args.dtype,
     )
     clips = synthetic_workload(
@@ -145,14 +135,11 @@ def _spec_and_clips(args: argparse.Namespace):
 
 def _run_workload(args: argparse.Namespace, mode: str) -> int:
     """Multi-clip path of ``run``: the runtime layer plus a summary table."""
-    from .runtime import SchedulerConfig, run_workload
+    from .runtime import run_workload
 
     spec, clips = _spec_and_clips(args)
-    scheduler = (
-        SchedulerConfig(workers=args.workers) if args.workers > 1 else None
-    )
     result = run_workload(
-        spec, clips, batch=args.batch, scheduler=scheduler,
+        spec, clips, batch=args.batch,
         prefix_cache_mb=args.prefix_cache_mb if args.prefix_cache else 0.0,
     )
     print(format_table(["quantity", "value"], result.summary_rows()))
@@ -460,21 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="clips in the workload; >1 uses the runtime layer")
     run.add_argument("--batch", action="store_true",
                      help="lockstep batched execution for multi-clip runs")
-    run.add_argument("--workers", type=int, default=0,
-                     help="worker pool size for multi-clip runs")
     run.add_argument("--rfbme", default=None,
                      choices=["kernel", "batched", "loop"],
                      help="RFBME host backend (default: fastest available)")
-    run.add_argument("--cnn", default="planned",
-                     choices=["planned", "legacy"],
-                     help="CNN engine: compiled inference plan (default, "
-                          "bit-identical) or the layer-by-layer legacy path")
     run.add_argument("--dtype", default="float64",
                      choices=["float64", "float32", "int8", "q16"],
                      help="CNN arithmetic; float32 trades bit-exactness "
                           "for throughput, int8/q16 run the calibrated "
                           "fixed-point lane under an explicit tolerance "
-                          "contract (planned engine only)")
+                          "contract")
     run.add_argument("--prefix-cache", action=argparse.BooleanOptionalAction,
                      default=False,
                      help="content-addressed CNN prefix cache for lockstep "
@@ -531,8 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     sharding.add_argument("--shard-backend", default="auto",
                           choices=["auto", "serial", "process"],
                           help="worker pool for sharded serving (auto picks "
-                               "process on multi-core hosts; threads are "
-                               "refused — shards would share plan scratch)")
+                               "process when more than one core is usable)")
     sharding.add_argument("--admission", default="static",
                           choices=["static", "shared"],
                           help="sharded request assignment: static "
@@ -596,8 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["kernel", "batched", "loop"],
                         help="RFBME host backend (default: fastest "
                              "available)")
-    engine.add_argument("--cnn", default="planned",
-                        choices=["planned", "legacy"])
     engine.add_argument("--dtype", default="float64",
                         choices=["float64", "float32", "int8", "q16"])
     engine.add_argument("--prefix-coalesce",

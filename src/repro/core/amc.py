@@ -25,7 +25,7 @@ from ..hardware.fixed_point import QFormat
 from ..motion.vector_field import VectorField
 from ..nn.network import Network
 from .receptive_field import ReceptiveField, receptive_field_of
-from .rfbme import BACKENDS, PROFILES, RFBMEConfig, RFBMEEngine, RFBMEResult
+from .rfbme import BACKENDS, RFBMEConfig, RFBMEEngine, RFBMEResult
 from .warp import scale_to_activation, warp_activation
 
 __all__ = ["AMCConfig", "AMCExecutor", "PredictionStats"]
@@ -55,11 +55,11 @@ class AMCConfig:
     #: fastest available. All backends are bit-identical — this knob
     #: exists for benchmarking and regression testing.
     rfbme_backend: Optional[str] = None
-    #: RFBME host tuning ("fast"/"pr1"); bit-identical, wall-clock only.
-    rfbme_profile: str = "fast"
     #: CNN execution engine: "planned" runs prefix/suffix through a
     #: compiled :class:`~repro.nn.inference.InferencePlan` (bit-identical,
-    #: faster); "legacy" keeps the layer-by-layer training-path forward.
+    #: faster); "legacy" keeps the layer-by-layer training-path forward,
+    #: the CNN half of the serial seed oracle (the lockstep and serving
+    #: runtimes refuse it).
     cnn_engine: str = "planned"
     #: CNN arithmetic: "float64" (default, bit-identical contract),
     #: "float32" (planned engine only; tolerance-verified), or the
@@ -76,11 +76,6 @@ class AMCConfig:
             raise ValueError(
                 f"rfbme_backend must be None or one of {BACKENDS}, "
                 f"got {self.rfbme_backend!r}"
-            )
-        if self.rfbme_profile not in PROFILES:
-            raise ValueError(
-                f"rfbme_profile must be one of {PROFILES}, "
-                f"got {self.rfbme_profile!r}"
             )
         if self.cnn_engine not in _CNN_ENGINES:
             raise ValueError(
@@ -193,7 +188,6 @@ class AMCExecutor:
                 self.grid_shape,
                 config=self.config.rfbme,
                 backend=self.config.rfbme_backend,
-                profile=self.config.rfbme_profile,
             )
         return self._engine
 

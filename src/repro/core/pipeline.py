@@ -140,8 +140,7 @@ class EVA2Pipeline:
         clip boundary, so results match running each clip alone. This is
         the simple serial path — for multi-clip workloads prefer
         :mod:`repro.runtime`, whose :class:`~repro.runtime.BatchedPipeline`
-        produces bit-identical results while batching the RFBME hot path
-        across clips, and whose :class:`~repro.runtime.ClipScheduler` fans
-        clips out over a worker pool.
+        produces bit-identical results while batching every lifecycle
+        stage across clips.
         """
         return [self.run_clip(clip) for clip in clips]

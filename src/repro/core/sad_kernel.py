@@ -26,18 +26,15 @@ The entry points share one shared object:
   and int16 sources, widening to the quantized lanes' GEMM operand type
   (float32 / float64) in the same pass, so the quantized planned engine
   pays one memory sweep where np.take plus an astype would pay two.
-* ``tile_sad`` — the original scalar producer in offset-major layout
-  (``out[oi][oj][ty][tx]``), kept verbatim as the ``"pr1"`` host-profile
-  baseline that the runtime benchmarks measure speedups against.
 
-Both kernels are *accelerators, not semantics changes*: they reproduce the
-canonical summation order of the NumPy paths bit-for-bit (per tile: one
-sequential accumulator per column, then numpy's pairwise combine of the
-column sums — for the AVX-512 path each ZMM lane is one column
-accumulator, and the final combine is the same scalar tree).  A
-self-check at load time compares both kernels against the NumPy reference
-on random probes and refuses the library on any mismatch, so every caller
-can treat "kernel" and "batched" results as interchangeable.
+The kernels are *accelerators, not semantics changes*: the producer
+reproduces the canonical summation order of the NumPy paths bit-for-bit
+(per tile: one sequential accumulator per column, then numpy's pairwise
+combine of the column sums — for the AVX-512 path each ZMM lane is one
+column accumulator, and the final combine is the same scalar tree).  A
+self-check at load time compares every entry point against its NumPy
+reference on random probes and refuses the library on any mismatch, so
+every caller can treat "kernel" and "batched" results as interchangeable.
 
 Gating: no compiler, any compile/load error, a failed self-check, or
 ``REPRO_SAD_KERNEL=0`` in the environment all make :func:`get_kernel`
@@ -74,7 +71,7 @@ _SOURCE = r"""
 
 /* Tile SADs between a padded key frame and the current frame.
  *
- * Both kernels compute, for every tile (ty, tx) and search offset pair
+ * The producer computes, for every tile (ty, tx) and search offset pair
  * (offs[oi], offs[oj]), the sum over the (tile x tile) block of
  * |cur - shifted key|.  Summation order is bit-identical to the NumPy
  * reference (see repro.core.rfbme._tile_sums): each column v accumulates
@@ -679,46 +676,6 @@ void gemm_requant_u8s8_o16(const unsigned char *a, long m, long k4,
 #else
 int have_vnni(void) { return 0; }
 #endif
-
-/* PR 1 producer, kept verbatim: offset-major out[oi][oj][ty][tx]. */
-void tile_sad(const double *pad, long pad_w,
-              const double *cur, long cur_w,
-              long n_ty, long n_tx, long tile,
-              const long *offs, long n_off, long radius,
-              double *out)
-{
-    double col[8];
-    for (long oi = 0; oi < n_off; ++oi) {
-        for (long oj = 0; oj < n_off; ++oj) {
-            const double *key = pad + (radius + offs[oi]) * pad_w
-                                    + (radius + offs[oj]);
-            for (long ty = 0; ty < n_ty; ++ty) {
-                for (long tx = 0; tx < n_tx; ++tx) {
-                    const double *a = cur + ty * tile * cur_w + tx * tile;
-                    const double *b = key + ty * tile * pad_w + tx * tile;
-                    for (long v = 0; v < tile; ++v)
-                        col[v] = 0.0;
-                    for (long u = 0; u < tile; ++u) {
-                        const double *ar = a + u * cur_w;
-                        const double *br = b + u * pad_w;
-                        for (long v = 0; v < tile; ++v)
-                            col[v] += fabs(ar[v] - br[v]);
-                    }
-                    double total;
-                    if (tile == 8)
-                        total = ((col[0] + col[1]) + (col[2] + col[3]))
-                              + ((col[4] + col[5]) + (col[6] + col[7]));
-                    else {
-                        total = col[0];
-                        for (long v = 1; v < tile; ++v)
-                            total += col[v];
-                    }
-                    *out++ = total;
-                }
-            }
-        }
-    }
-}
 """
 
 _CFLAGS = ["-O3", "-march=native", "-shared", "-fPIC"]
@@ -734,18 +691,7 @@ _STATE: Optional[object] = None
 class SADKernel:
     """ctypes wrapper around the compiled SAD producers."""
 
-    _ARGTYPES = [
-        ctypes.POINTER(ctypes.c_double), ctypes.c_long,
-        ctypes.POINTER(ctypes.c_double), ctypes.c_long,
-        ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        ctypes.POINTER(ctypes.c_long), ctypes.c_long, ctypes.c_long,
-        ctypes.POINTER(ctypes.c_double),
-    ]
-
     def __init__(self, lib: ctypes.CDLL):
-        self._fn = lib.tile_sad
-        self._fn.restype = None
-        self._fn.argtypes = self._ARGTYPES
         lptr = ctypes.POINTER(ctypes.c_long)
         dptr = ctypes.POINTER(ctypes.c_double)
         bptr = ctypes.POINTER(ctypes.c_ubyte)
@@ -853,49 +799,6 @@ class SADKernel:
 
     def supports(self, tile: int) -> bool:
         return 1 <= tile <= MAX_TILE
-
-    def _call(
-        self,
-        fn,
-        pad: np.ndarray,
-        cur: np.ndarray,
-        tile: int,
-        offsets: np.ndarray,
-        radius: int,
-        out: np.ndarray,
-        n_ty: int,
-        n_tx: int,
-    ) -> np.ndarray:
-        offs = np.ascontiguousarray(offsets, dtype=np.int64)
-        dptr = ctypes.POINTER(ctypes.c_double)
-        fn(
-            pad.ctypes.data_as(dptr), pad.shape[1],
-            cur.ctypes.data_as(dptr), cur.shape[1],
-            n_ty, n_tx, tile,
-            offs.ctypes.data_as(ctypes.POINTER(ctypes.c_long)),
-            len(offsets), radius,
-            out.ctypes.data_as(dptr),
-        )
-        return out
-
-    def tile_sads(
-        self,
-        pad: np.ndarray,
-        cur: np.ndarray,
-        tile: int,
-        offsets: np.ndarray,
-        radius: int,
-        out: np.ndarray,
-    ) -> np.ndarray:
-        """PR 1 producer: fill ``out`` (n_off, n_off, n_ty, n_tx).
-
-        ``pad`` is the key frame padded by ``radius`` on each side; ``cur``
-        is the current frame.  Both must be C-contiguous float64.
-        """
-        return self._call(
-            self._fn, pad, cur, tile, offsets, radius, out,
-            out.shape[2], out.shape[3],
-        )
 
     def tile_sads_grid_batch(
         self,
@@ -1293,10 +1196,6 @@ def _self_check(kernel: SADKernel) -> bool:
         n_off = len(offsets)
         n_ty, n_tx = shape[0] // tile, shape[1] // tile
         want = _numpy_reference(pad, cur, tile, offsets, radius)
-        out = np.empty((n_off, n_off, n_ty, n_tx))
-        kernel.tile_sads(pad, cur, tile, offsets, radius, out)
-        if not np.array_equal(out, want):
-            return False
         pads = np.ascontiguousarray(np.stack([pad, np.pad(cur, radius)]))
         curs = np.ascontiguousarray(np.stack([cur, key]))
         want2 = _numpy_reference(pads[1], curs[1], tile, offsets, radius)

@@ -17,8 +17,7 @@ Contracts:
   their frames, the resolved inference plan) and the values produced by
   earlier stages.  The only state mutation is the one the lifecycle
   defines — a key frame's pixels/activation being adopted by its
-  executor in :func:`stage_cnn_prefix` (and, on the legacy engine, the
-  equivalent inside :func:`stage_legacy_cnn`).
+  executor in :func:`stage_cnn_prefix`.
 * **Declared effects.**  Besides its dataflow inputs/outputs, every
   stage declares which :class:`LaneState` *resources* it writes
   (:data:`KEY_STATE`, :data:`POLICY_STATE`, :data:`ENGINE_SCRATCH`,
@@ -71,7 +70,6 @@ __all__ = [
     "stage_cnn_prefix",
     "stage_warp",
     "stage_cnn_suffix",
-    "stage_legacy_cnn",
     "stage_record",
 ]
 
@@ -221,8 +219,7 @@ class StepBatch:
 
     ``positions`` index into ``state.slots`` (the slots taking part in
     this step, in slot order); ``frames`` holds each position's frame at
-    its current cursor; ``plan`` is the resolved inference plan for the
-    planned CNN engine (``None`` selects the legacy per-clip path).
+    its current cursor; ``plan`` is the lane's resolved inference plan.
 
     ``prefix_service`` routes ``cnn_prefix`` through a shared
     :class:`~repro.runtime.prefix_service.PrefixService` (cross-lane
@@ -233,7 +230,7 @@ class StepBatch:
     state: LaneState
     positions: Sequence[int]
     frames: Sequence[np.ndarray]
-    plan: Optional[object] = None
+    plan: object
     prefix_service: Optional[object] = None
 
     def __len__(self) -> int:
@@ -370,29 +367,6 @@ def stage_cnn_suffix(
     for row, k in enumerate(keys + preds):
         aligned[k] = outputs[row]
     return aligned
-
-
-@_effects(writes={KEY_STATE, PLAN_SCRATCH})
-def stage_legacy_cnn(
-    batch: StepBatch,
-    decisions: Sequence[bool],
-    estimations: Sequence[Optional[RFBMEResult]],
-) -> np.ndarray:
-    """Per-clip CNN execution for the legacy engine (no whole-batch CNN).
-
-    RFBME is still batched by :func:`stage_rfbme`; this stage runs each
-    clip's prefix/warp/suffix through its executor exactly as the serial
-    pipeline would, in slot order.
-    """
-    outputs = [
-        batch.slot(k).executor.process_key(batch.frames[k])
-        if decisions[k]
-        else batch.slot(k).executor.process_predicted(
-            batch.frames[k], estimations[k]
-        )
-        for k in range(len(batch))
-    ]
-    return np.concatenate(outputs)
 
 
 @_effects()

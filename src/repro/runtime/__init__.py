@@ -5,9 +5,9 @@ streams at once (§I's live-vision setting).  This package turns the
 per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
 
 * :class:`PipelineSpec` — picklable recipe for building identical
-  pipelines in any worker.
-* :class:`ClipScheduler` / :class:`ShardPool` — fan clips (or lane
-  shards) over a serial / thread / process pool, order-preserving.
+  pipelines in any worker.  Its ``cnn_engine="legacy"`` form is the
+  serial seed oracle; the lockstep and serving runtimes refuse it with
+  :class:`LegacyEngineError`.
 * :class:`StageGraph` / :class:`StageExecutor` — the frame lifecycle as
   declared stages with typed inputs/outputs and resource write sets
   (:func:`frame_lifecycle_graph`), topologically scheduled, run over
@@ -61,7 +61,8 @@ per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
 Every execution path produces bit-identical per-clip results; the choice
 is purely a throughput knob.  ``benchmarks/bench_runtime_throughput.py``
 and ``benchmarks/bench_serving.py`` measure the paths against the seed
-serial loop.
+serial loop (``cnn_engine="legacy"``, ``rfbme_backend="loop"``,
+``run_workload(batch=False)``).
 """
 
 from .batched import (
@@ -86,12 +87,7 @@ from .frontdoor import (
     ServerConfig,
     as_request_source,
 )
-from .scheduler import (
-    ClipScheduler,
-    SchedulerConfig,
-    ShardCrashError,
-    ShardPool,
-)
+from .scheduler import ShardCrashError
 from .serving import (
     ClipRequest,
     DuplicateRequestError,
@@ -104,7 +100,7 @@ from .serving import (
     ShardInfo,
 )
 from .prefix_service import PrefixService, PrefixStats
-from .spec import PAPER_MODES, PipelineSpec
+from .spec import PAPER_MODES, LegacyEngineError, PipelineSpec
 from .stage_graph import (
     DuplicateOutputError,
     Stage,
@@ -138,9 +134,6 @@ __all__ = [
     "WorkloadResult",
     "run_workload",
     "execute_batched_step",
-    "ClipScheduler",
-    "SchedulerConfig",
-    "ShardPool",
     "ShardCrashError",
     "ClipRequest",
     "ServerConfig",
@@ -176,6 +169,7 @@ __all__ = [
     "frame_lifecycle_graph",
     "PAPER_MODES",
     "PipelineSpec",
+    "LegacyEngineError",
     "FaultEvent",
     "FaultPlan",
     "FailoverEvent",

@@ -27,11 +27,8 @@ the host), so a lockstep run reproduces the serial
 :meth:`~repro.core.EVA2Pipeline.run_clips` results exactly: same
 outputs, same key-frame decisions, same op counts.  Executor
 construction, policy setup, and all workspace allocation happen once per
-workload instead of per clip (or per frame).
-
-A spec with ``cnn_engine="legacy"`` keeps the original lockstep shape —
-batched RFBME, per-clip CNN — which the runtime benchmark measures
-speedups against.
+workload instead of per clip (or per frame).  A ``cnn_engine="legacy"``
+spec is refused: the layer-by-layer engine is the serial seed oracle.
 
 :class:`WorkloadResult` aggregates the per-clip
 :class:`~repro.core.pipeline.PipelineResult` records with the throughput
@@ -53,7 +50,6 @@ from ..hardware.fixed_point import QuantSavings
 from ..nn.inference import quantized_savings, resolve_plan_dtype
 from ..video.generator import VideoClip
 from .prefix_service import PrefixService
-from .scheduler import ClipScheduler, SchedulerConfig
 from .spec import PipelineSpec
 from .stage_graph import StageExecutor, frame_lifecycle_graph
 
@@ -95,7 +91,7 @@ def execute_batched_step(plan, entries) -> List[FrameRecord]:
         frames=[frame for _, _, frame, _, _ in entries],
         plan=plan,
     )
-    env = frame_lifecycle_graph(planned=True).run(
+    env = frame_lifecycle_graph().run(
         batch, seed={"estimations": [entry[4] for entry in entries]}
     )
     return env["records"]
@@ -110,7 +106,7 @@ class WorkloadResult:
     wall_seconds: float
     #: which execution path produced this ("serial", "lockstep", ...).
     path: str
-    #: worker count used (1 for serial and lockstep).
+    #: serving shards used (1 for serial and lockstep).
     workers: int = 1
     #: lifecycle steps executed (0 for paths without a step executor).
     steps: int = 0
@@ -233,10 +229,9 @@ class WorkloadResult:
 class BatchedPipeline:
     """Run a multi-clip workload in lockstep with batched hot paths.
 
-    The spec's ``cnn_engine`` picks the step graph: ``"planned"`` runs
-    CNN execution (prefix, warp, suffix) as whole-batch calls,
-    ``"legacy"`` keeps the original lockstep shape — batched RFBME,
-    per-clip CNN.
+    CNN execution (prefix, warp, suffix) runs as whole-batch calls; a
+    ``cnn_engine="legacy"`` spec raises
+    :class:`~repro.runtime.spec.LegacyEngineError`.
 
     ``prefix_cache_mb`` > 0 attaches a content-addressed
     :class:`~repro.runtime.prefix_service.PrefixService` cache to every
@@ -252,6 +247,7 @@ class BatchedPipeline:
         spec: PipelineSpec,
         prefix_cache_mb: float = 0.0,
     ):
+        spec.require_planned("BatchedPipeline")
         self.spec = spec
         if prefix_cache_mb < 0:
             raise ValueError(
@@ -262,7 +258,6 @@ class BatchedPipeline:
     def run_workload(self, clips: Sequence[VideoClip]) -> WorkloadResult:
         """Process every clip; bit-identical to the serial path."""
         start = time.perf_counter()
-        planned = self.spec.cnn_engine == "planned"
         network = self.spec.shared_network()  # executors never mutate it
         # One slot per clip.  Slot 0's executor lends its RFBME engine to
         # the whole lane (identical geometry, shared scratch workspace).
@@ -274,15 +269,13 @@ class BatchedPipeline:
                 )
                 for _ in clips
             ],
-            plan=(
-                PlanHandle(network, self.spec.dtype) if planned else None
-            ),
+            plan=PlanHandle(network, self.spec.dtype),
         )
         for slot in state.slots:
             slot.executor.reset()
             slot.policy.reset()
-        executor = StageExecutor(frame_lifecycle_graph(planned=planned))
-        plan = state.plan.resolve(len(clips)) if state.plan and clips else None
+        executor = StageExecutor(frame_lifecycle_graph())
+        plan = state.plan.resolve(len(clips)) if clips else None
         # Lockstep already fuses coincident key frames within a step, so
         # the service is pure cache here (coalesce off).
         service = (
@@ -328,37 +321,22 @@ def run_workload(
     spec: PipelineSpec,
     clips: Sequence[VideoClip],
     batch: bool = True,
-    scheduler: Optional[SchedulerConfig] = None,
     prefix_cache_mb: float = 0.0,
 ) -> WorkloadResult:
-    """Execute a workload on the path implied by the arguments.
+    """Execute a workload in lockstep (``batch``, default) or serially.
 
-    ``scheduler`` with more than one worker selects the pooled
-    :class:`~repro.runtime.scheduler.ClipScheduler`; otherwise ``batch``
-    picks lockstep (default) or plain serial execution.
     ``prefix_cache_mb`` forwards to :class:`BatchedPipeline` (> 0
     enables the content-addressed prefix cache on the lockstep path;
-    serial and scheduled paths ignore it).  Every path returns identical
-    per-clip results.
+    the serial path ignores it).  Both paths return identical per-clip
+    results; only the serial path runs a ``cnn_engine="legacy"`` spec.
     """
+    lockstep = (
+        BatchedPipeline(spec, prefix_cache_mb=prefix_cache_mb) if batch else None
+    )
     dtype = resolve_plan_dtype(spec.dtype)
     savings = quantized_savings(spec.shared_network(), spec.dtype)
-    if scheduler is not None and scheduler.workers > 1:
-        start = time.perf_counter()
-        results = ClipScheduler(spec, scheduler).run(clips)
-        wall = time.perf_counter() - start
-        return WorkloadResult(
-            results=results,
-            wall_seconds=wall,
-            path=scheduler.resolve(len(clips)),
-            workers=scheduler.workers,
-            dtype=dtype,
-            quant_savings=savings,
-        )
-    if batch:
-        return BatchedPipeline(spec, prefix_cache_mb=prefix_cache_mb).run_workload(
-            clips
-        )
+    if lockstep is not None:
+        return lockstep.run_workload(clips)
     start = time.perf_counter()
     results = spec.build().run_clips(clips)
     wall = time.perf_counter() - start

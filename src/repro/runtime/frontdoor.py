@@ -56,7 +56,7 @@ from typing import (
     Tuple,
 )
 
-from .scheduler import SchedulerConfig
+from .scheduler import _usable_cores
 from .supervision import FaultPlan, SupervisorConfig
 
 __all__ = [
@@ -621,6 +621,9 @@ class Autoscaler:
 # -------------------------------------------------------------------- #
 # server configuration
 # -------------------------------------------------------------------- #
+_SHARD_BACKENDS = ("auto", "serial", "process")
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Validated configuration for :class:`ServingRuntime`.
@@ -634,8 +637,8 @@ class ServerConfig:
     max_batch: int = 8
     #: fixed shard count (1 = in-process); superseded by ``autoscale``.
     serve_workers: int = 1
-    #: shard pool backend: auto / serial / process (thread is refused —
-    #: concurrent thread shards would share one plan's scratch).
+    #: shard pool backend: "serial", "process", or "auto" (process when
+    #: more than one core is usable and more than one shard runs).
     shard_backend: str = "auto"
     #: "static" round-robin slices or a "shared" per-lane queue.
     #: Autoscaling requires the shared queue and coerces this field.
@@ -670,8 +673,6 @@ class ServerConfig:
     prefix_cache_mb: float = 0.0
     #: inference plan family every lane runs under ("float64",
     #: "float32", "int8", "q16"); None keeps each lane spec's own dtype.
-    #: The quantized families need the planned CNN engine — validated
-    #: against the lane specs when the runtime is constructed.
     inference_dtype: Optional[str] = None
 
     def __post_init__(self):
@@ -688,20 +689,11 @@ class ServerConfig:
                 f"admission must be 'static' or 'shared', got "
                 f"{self.admission!r}"
             )
-        if self.shard_backend == "thread":
-            # Thread shards of one lane would share the process-global
-            # cached network — and therefore one InferencePlan whose
-            # scratch buffers they'd mutate concurrently, breaking the
-            # bit-identity contract (and the GIL voids the throughput
-            # win anyway).  Refuse rather than serve wrong bits.
+        if self.shard_backend not in _SHARD_BACKENDS:
             raise ValueError(
-                "shard_backend='thread' cannot shard serving: concurrent "
-                "thread shards would share one inference plan's scratch; "
-                "use 'process', 'serial', or 'auto'"
+                f"shard_backend must be one of {_SHARD_BACKENDS}, got "
+                f"{self.shard_backend!r}"
             )
-        # Reuses the scheduler's backend-name validation and error text.
-        SchedulerConfig(workers=self.serve_workers,
-                        backend=self.shard_backend)
         object.__setattr__(self, "max_batch", int(self.max_batch))
         object.__setattr__(self, "serve_workers", int(self.serve_workers))
         object.__setattr__(self, "virtual_time", bool(self.virtual_time))
@@ -756,6 +748,14 @@ class ServerConfig:
         if self.autoscale is not None:
             return max(self.serve_workers, self.autoscale.max_shards)
         return self.serve_workers
+
+    def resolve_shard_backend(self, num_shards: int) -> str:
+        """``"serial"`` or ``"process"`` for a pool of ``num_shards``."""
+        if self.pool_workers <= 1 or num_shards <= 1:
+            return "serial"  # a pool of one is just the inline path
+        if self.shard_backend != "auto":
+            return self.shard_backend
+        return "process" if _usable_cores() > 1 else "serial"
 
     @property
     def sharded(self) -> bool:

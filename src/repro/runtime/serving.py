@@ -22,8 +22,7 @@ The serving layer is split along the line a deployment would draw:
   ``serve_workers=1`` (default) runs every lane's worker in-process
   under one virtual clock — the continuous-batching behaviour of PR 3,
   bit-identical and within its throughput envelope.  ``serve_workers=N``
-  shards lanes across a process pool
-  (:class:`~repro.runtime.scheduler.ShardPool`): each lane gets
+  shards lanes across a process pool: each lane gets
   ``ceil(N / num_lanes)`` shards.  ``admission="static"`` splits each
   lane's requests round-robin in arrival order and every shard serves
   its slice independently; ``admission="shared"`` keeps one admission
@@ -80,6 +79,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
@@ -98,7 +98,6 @@ from ..core.pipeline import FrameRecord, PipelineResult
 from ..core.stages import LaneSlot, LaneState, PlanHandle, StepBatch
 from ..hardware.fixed_point import QuantSavings
 from ..nn.inference import (
-    QUANT_DTYPES,
     quantized_savings,
     resolve_plan_dtype,
 )
@@ -116,10 +115,9 @@ from .frontdoor import (
 )
 from .prefix_service import PrefixService, PrefixStats
 from .scheduler import (
-    SchedulerConfig,
     ShardCrashError,
-    ShardPool,
     deal_shard_budget,
+    limit_blas_threads,
 )
 from .spec import PipelineSpec
 from .stage_graph import StageExecutor, frame_lifecycle_graph
@@ -589,6 +587,7 @@ class LaneWorker:
     def __init__(self, name: str, spec: PipelineSpec, capacity: int,
                  shard: int = 0, prefix_coalesce: bool = True,
                  prefix_cache_mb: float = 0.0):
+        spec.require_planned("LaneWorker")
         self.name = name
         self.spec = spec
         self.capacity = capacity
@@ -610,15 +609,10 @@ class LaneWorker:
             executor = spec.build_executor(network)
             executor.reset()
             slots.append(LaneSlot(executor=executor))
-        plan_handle = (
-            PlanHandle(network, spec.dtype)
-            if spec.cnn_engine == "planned"
-            else None
-        )
-        if plan_handle is not None:
-            plan_handle.resolve(capacity)  # compile at capacity up front
+        plan_handle = PlanHandle(network, spec.dtype)
+        plan_handle.resolve(capacity)  # compile at capacity up front
         self.state = LaneState(slots=slots, plan=plan_handle)
-        self.graph = frame_lifecycle_graph(planned=plan_handle is not None)
+        self.graph = frame_lifecycle_graph()
         self.executor = StageExecutor(self.graph)
         #: the in-flight (positions, env) between ``begin_step`` and its
         #: ``finish_step``.
@@ -629,8 +623,8 @@ class LaneWorker:
     # -------------------------------------------------------------- #
     @property
     def plan(self):
-        """The lane's live inference plan (None on the legacy engine)."""
-        return self.state.plan.resolve() if self.state.plan else None
+        """The lane's live inference plan."""
+        return self.state.plan.resolve()
 
     def has_free_slot(self) -> bool:
         return any(resident is None for resident in self.residents)
@@ -660,11 +654,7 @@ class LaneWorker:
                 self.residents[i].request.clip.frames[self.state.slots[i].cursor]
                 for i in positions
             ],
-            plan=(
-                self.state.plan.resolve(len(positions))
-                if self.state.plan
-                else None
-            ),
+            plan=self.state.plan.resolve(len(positions)),
             prefix_service=self.prefix_service,
         )
 
@@ -673,9 +663,9 @@ class LaneWorker:
 
         One pass of the stage executor at current occupancy: batched
         RFBME over the slots with a stored key, per-clip decisions at
-        clip-local cursors, then the batched (or legacy per-clip) CNN
-        stages.  Slots whose clip finished release their executor and
-        free up for the next admission.
+        clip-local cursors, then the batched CNN stages.  Slots whose
+        clip finished release their executor and free up for the next
+        admission.
         """
         self.begin_step(register=False)
         return self.finish_step()
@@ -766,8 +756,7 @@ class LaneWorker:
                 self.state.slots[index].policy = None
                 self.residents[index] = None
         self.queue.clear()
-        if self.state.plan is not None:
-            self.state.plan.resolve().shrink(1)
+        self.state.plan.resolve().shrink(1)
 
 
 class _PairSource(RequestSource):
@@ -925,8 +914,8 @@ class _ShardTask:
 def _run_shard(task: _ShardTask) -> _ShardOutcome:
     """Build a warm worker for the shard and serve its slice.
 
-    Module-level so :class:`~repro.runtime.scheduler.ShardPool` can ship
-    it to worker processes; construction (network load, plan compile at
+    Module-level so the static-admission process pool can ship it to
+    worker processes; construction (network load, plan compile at
     capacity) happens before the shard's clock starts, so shard busy
     time measures serving, not setup.
     """
@@ -1501,13 +1490,12 @@ class ServingRuntime:
     results aggregated into one :class:`ServingReport`.  Results are
     bit-identical either way; sharding only changes wall-clock time and
     latency accounting (each shard keeps its own clock).
-    ``shard_backend`` resolves like
-    :class:`~repro.runtime.scheduler.SchedulerConfig` backends: ``process``
-    realizes shard concurrency, ``serial`` runs shards inline — useful on
-    single-core hosts, where the report still aggregates under the
-    concurrent model (slowest shard's busy time); ``auto`` picks between
-    them by core count.  ``thread`` is refused: concurrent thread shards
-    would share one plan's scratch and break bit identity.
+    ``shard_backend`` (see
+    :meth:`~repro.runtime.frontdoor.ServerConfig.resolve_shard_backend`):
+    ``process`` realizes shard concurrency, ``serial`` runs shards
+    inline — useful on single-core hosts, where the report still
+    aggregates under the concurrent model (slowest shard's busy time);
+    ``auto`` picks between them by usable core count.
 
     ``admission`` selects how a sharded run assigns requests to a lane's
     shards.  ``"static"`` (default) splits each lane's traffic
@@ -1550,21 +1538,13 @@ class ServingRuntime:
             raise TypeError(
                 f"config must be a ServerConfig, got {type(config).__name__}"
             )
+        for lane_spec in specs.values():
+            lane_spec.require_planned("ServingRuntime")
         #: the validated :class:`ServerConfig` this runtime serves under.
         self.config = config
         if config.inference_dtype is not None:
             # One dtype for every lane (per-lane dtypes come from per-lane
-            # specs).  The quantized families exist only in the planned
-            # engine — refuse a legacy-engine lane rather than silently
-            # serving float.
-            for name, lane_spec in specs.items():
-                if (config.inference_dtype in QUANT_DTYPES
-                        and lane_spec.cnn_engine != "planned"):
-                    raise ValueError(
-                        f"inference_dtype={config.inference_dtype!r} needs "
-                        f"cnn_engine='planned', but lane {name!r} uses "
-                        f"{lane_spec.cnn_engine!r}"
-                    )
+            # specs).
             specs = {
                 name: replace(lane_spec, dtype=config.inference_dtype)
                 for name, lane_spec in specs.items()
@@ -1603,15 +1583,6 @@ class ServingRuntime:
     @property
     def clock(self) -> Callable[[], float]:
         return self.config.clock or time.perf_counter
-
-    @property
-    def shard_config(self) -> SchedulerConfig:
-        """Pool resolution, sized to the worker budget (autoscale's
-        ``max_shards`` when elastic, ``serve_workers`` otherwise)."""
-        return SchedulerConfig(
-            workers=self.config.pool_workers,
-            backend=self.config.shard_backend,
-        )
 
     # -------------------------------------------------------------- #
     @property
@@ -1750,7 +1721,7 @@ class ServingRuntime:
                         prefix_cache_mb=self.config.prefix_cache_mb,
                     )
                 )
-        if self.shard_config.resolve(len(tasks)) == "serial":
+        if self.config.resolve_shard_backend(len(tasks)) == "serial":
             # Inline shards run in this process, so the injected clock
             # (deterministic tests) is honoured; each shard still gets
             # its own serve loop and its own busy/idle accounting (and,
@@ -1764,7 +1735,15 @@ class ServingRuntime:
                 for task in tasks
             ]
         else:
-            outcomes = ShardPool(self.shard_config).map(_run_shard, tasks)
+            # Each shard process sizes its BLAS pool to its share of the
+            # cores before building a network.
+            workers = min(self.config.pool_workers, len(tasks))
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=limit_blas_threads,
+                initargs=(workers,),
+            ) as pool:
+                outcomes = list(pool.map(_run_shard, tasks))
 
         return self._aggregate_shards(outcomes)
 
@@ -1882,7 +1861,7 @@ class ServingRuntime:
             self.serve_workers,
         )
         num_tasks = sum(lane_shards.values())
-        if self.shard_config.resolve(num_tasks) == "process":
+        if self.config.resolve_shard_backend(num_tasks) == "process":
             return self._serve_shared_process(per_lane, lane_shards)
         service = self._build_prefix_service()
         self._des_prefix_service = service
@@ -1915,7 +1894,7 @@ class ServingRuntime:
         config = self.config
         policy = config.autoscale
         autoscaler = Autoscaler(policy)
-        if self.shard_config.resolve(config.pool_workers) == "process":
+        if config.resolve_shard_backend(config.pool_workers) == "process":
             # The supervisor owns spawn/drain; it needs the full trace
             # for release scheduling, so streaming sources are drained
             # (closed sources only — an open one raises in the door).

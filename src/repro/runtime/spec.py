@@ -1,11 +1,11 @@
 """Picklable pipeline descriptions for the runtime layer.
 
 Worker processes cannot receive live :class:`~repro.core.EVA2Pipeline`
-objects (they hold networks and scratch buffers), so the scheduler ships a
-:class:`PipelineSpec` — a frozen, picklable recipe — and each worker builds
-its pipeline once from it.  The same spec drives the serial, lockstep, and
-pooled execution paths, which is what makes their results comparable
-bit for bit.
+objects (they hold networks and scratch buffers), so sharded serving ships
+a :class:`PipelineSpec` — a frozen, picklable recipe — and each shard
+builds its own lane from it.  The same spec drives the serial, lockstep,
+and serving paths, which is what makes their results comparable bit for
+bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ..core import (
 )
 from ..core.rfbme import RFBMEConfig
 
-__all__ = ["PipelineSpec", "PAPER_MODES"]
+__all__ = ["PipelineSpec", "PAPER_MODES", "LegacyEngineError"]
 
 #: network -> AMC mode the paper pairs it with (§IV-E1: classification
 #: memoizes, detection warps).
@@ -37,6 +37,15 @@ PAPER_MODES = {
 }
 
 _POLICIES = ("match_error", "motion", "static", "always", "never")
+
+
+class LegacyEngineError(ValueError):
+    """A ``cnn_engine="legacy"`` spec was handed to a batched runtime.
+
+    The layer-by-layer legacy engine is the serial seed oracle: it runs
+    clip by clip through ``run_workload(spec, clips, batch=False)``.  The
+    lockstep and serving runtimes run the planned engine only.
+    """
 
 
 @dataclass(frozen=True)
@@ -62,11 +71,8 @@ class PipelineSpec:
     search_stride: int = 2
     #: RFBME host backend; None = fastest available (see repro.core.rfbme).
     rfbme_backend: Optional[str] = None
-    #: RFBME host tuning profile ("fast"/"pr1"); results are identical,
-    #: "pr1" reproduces the previous release's wall-clock behaviour.
-    rfbme_profile: str = "fast"
     #: CNN execution engine ("planned"/"legacy"); see
-    #: :class:`repro.core.amc.AMCConfig`.
+    #: :class:`repro.core.amc.AMCConfig`.  "legacy" is serial-only.
     cnn_engine: str = "planned"
     #: CNN arithmetic ("float64"/"float32"/"int8"/"q16").  float32 and
     #: the quantized lanes need the planned engine; the quantized lanes
@@ -95,10 +101,18 @@ class PipelineSpec:
             mode=mode,
             rfbme=RFBMEConfig(self.search_radius, self.search_stride),
             rfbme_backend=self.rfbme_backend,
-            rfbme_profile=self.rfbme_profile,
             cnn_engine=self.cnn_engine,
             dtype=self.dtype,
         )
+
+    def require_planned(self, runtime: str) -> None:
+        """Raise :class:`LegacyEngineError` unless the engine is planned."""
+        if self.cnn_engine != "planned":
+            raise LegacyEngineError(
+                f"{runtime} runs the planned CNN engine only; "
+                f"cnn_engine={self.cnn_engine!r} is the serial seed oracle, "
+                "run it with run_workload(spec, clips, batch=False)"
+            )
 
     def build_policy(self) -> KeyFramePolicy:
         if self.policy == "match_error":

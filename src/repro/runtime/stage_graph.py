@@ -9,14 +9,10 @@ construction, and executed over a shared value environment.  The stage
 bodies are the pure functions of :mod:`repro.core.stages`; this module
 declares how they wire together and *when* they run.
 
-Two graphs cover the two CNN engines:
-
-* **planned** — ``rfbme → decide → cnn_prefix → warp → cnn_suffix →
-  record``: the key-frame branch runs the batched CNN prefix, the
-  predicted branch warps stored activations, and one suffix call covers
-  both (the whole-batch lifecycle of PR 2/3).
-* **legacy** — ``rfbme → decide → legacy_cnn → record``: batched RFBME
-  with per-clip CNN execution (the PR 1 shape).
+One graph covers the lifecycle, ``rfbme → decide → cnn_prefix → warp →
+cnn_suffix → record``: the key-frame branch runs the batched CNN prefix,
+the predicted branch warps stored activations, and one suffix call
+covers both.
 
 Validation raises *named* errors so callers can tell failure modes
 apart: :class:`UndeclaredInputError` (an input no stage produces),
@@ -299,37 +295,24 @@ class StageExecutor:
 
 
 @functools.lru_cache(maxsize=None)
-def frame_lifecycle_graph(planned: bool = True) -> StageGraph:
+def frame_lifecycle_graph() -> StageGraph:
     """The EVA2 frame lifecycle as a stage graph.
 
-    ``planned`` selects whole-batch CNN execution (prefix for coincident
-    key frames, one warp batch, one suffix call); ``False`` gives the
-    legacy per-clip CNN path behind the shared RFBME batch.  Graphs are
-    stateless declarations, so each shape is built once and shared by
-    every caller (lockstep and serving run the same objects).
+    Whole-batch CNN execution: one prefix call for coincident key
+    frames, one warp batch, one suffix call.  The graph is a stateless
+    declaration, so it is built once and shared by every caller
+    (lockstep and serving run the same object).
     """
-    front = [
+    return StageGraph([
         Stage("rfbme", _stages.stage_rfbme, ("batch",), ("estimations",)),
         Stage("decide", _stages.stage_decide, ("batch", "estimations"),
               ("decisions",)),
-    ]
-    if planned:
-        body = [
-            Stage("cnn_prefix", _stages.stage_cnn_prefix,
-                  ("batch", "decisions"), ("key_acts",)),
-            Stage("warp", _stages.stage_warp,
-                  ("batch", "decisions", "estimations"), ("pred_acts",)),
-            Stage("cnn_suffix", _stages.stage_cnn_suffix,
-                  ("batch", "decisions", "key_acts", "pred_acts"),
-                  ("outputs",)),
-        ]
-    else:
-        body = [
-            Stage("legacy_cnn", _stages.stage_legacy_cnn,
-                  ("batch", "decisions", "estimations"), ("outputs",)),
-        ]
-    back = [
+        Stage("cnn_prefix", _stages.stage_cnn_prefix,
+              ("batch", "decisions"), ("key_acts",)),
+        Stage("warp", _stages.stage_warp,
+              ("batch", "decisions", "estimations"), ("pred_acts",)),
+        Stage("cnn_suffix", _stages.stage_cnn_suffix,
+              ("batch", "decisions", "key_acts", "pred_acts"), ("outputs",)),
         Stage("record", _stages.stage_record,
               ("batch", "decisions", "estimations", "outputs"), ("records",)),
-    ]
-    return StageGraph(front + body + back)
+    ])

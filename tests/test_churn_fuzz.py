@@ -237,8 +237,6 @@ class TestForcedChurn:
         [
             ("planned", "match_error"),
             ("planned", "static"),
-            ("legacy", "match_error"),
-            ("legacy", "static"),
         ],
     )
     def test_identity_holds(self, churn_trace, cnn_engine, policy):

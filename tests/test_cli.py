@@ -102,9 +102,16 @@ class TestCLI:
         assert main(["run", "--clips", "0"]) == 2
         assert "--clips" in capsys.readouterr().err
 
-    def test_batch_and_workers_conflict(self, capsys):
-        assert main(["run", "--clips", "4", "--batch", "--workers", "2"]) == 2
-        assert "pick one" in capsys.readouterr().err
+    def test_removed_flags_rejected(self):
+        """The clip pool and the legacy engine are not CLI paths: the
+        seed oracle is reachable from the Python API only."""
+        for argv in (
+            ["run", "--clips", "4", "--workers", "2"],
+            ["run", "--cnn", "legacy"],
+            ["serve", "--cnn", "legacy"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

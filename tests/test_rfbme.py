@@ -301,48 +301,40 @@ def test_translation_recovery_property(dy, dx):
     np.testing.assert_allclose(interior[..., 1], -dx)
 
 
-class TestHostProfiles:
-    """"fast" and "pr1" are wall-clock knobs only: identical results."""
+class TestBackendAgreement:
+    """The vectorized backends are wall-clock knobs only: their engines
+    return the loop oracle's results bit for bit."""
 
-    def test_profiles_and_backends_agree(self):
+    def test_backends_agree_with_loop(self):
         rng = np.random.default_rng(20)
         rf = ReceptiveField(size=24, stride=8, padding=0)
         pairs = [
             (rng.random((64, 64)), rng.random((64, 64))) for _ in range(5)
         ]
-        engines = {
-            (backend, profile): RFBMEEngine(
-                (64, 64), rf, (8, 8), backend=backend, profile=profile
-            )
-            for backend in ("kernel", "batched")
-            for profile in ("fast", "pr1")
-        }
         reference = RFBMEEngine((64, 64), rf, (8, 8), backend="loop")
         want = reference.estimate_batch(pairs)
-        for (backend, profile), engine in engines.items():
+        for backend in ("kernel", "batched"):
+            engine = RFBMEEngine((64, 64), rf, (8, 8), backend=backend)
             got = engine.estimate_batch(pairs)
             for a, b in zip(got, want):
-                label = f"{backend}/{profile}"
-                assert np.array_equal(a.field.data, b.field.data), label
-                assert np.array_equal(a.match_errors, b.match_errors), label
-                assert a.ops == b.ops, label
+                assert np.array_equal(a.field.data, b.field.data), backend
+                assert np.array_equal(a.match_errors, b.match_errors), backend
+                assert a.ops == b.ops, backend
 
     def test_varying_batch_sizes_reuse_workspace(self):
         rng = np.random.default_rng(21)
         rf = ReceptiveField(size=24, stride=8, padding=0)
-        engine = RFBMEEngine((64, 64), rf, (8, 8))
         reference = RFBMEEngine((64, 64), rf, (8, 8), backend="loop")
         pairs = [
             (rng.random((64, 64)), rng.random((64, 64))) for _ in range(6)
         ]
-        for size in (6, 1, 4, 2, 6):
-            got = engine.estimate_batch(pairs[:size])
-            want = reference.estimate_batch(pairs[:size])
-            for a, b in zip(got, want):
-                assert np.array_equal(a.field.data, b.field.data)
-                assert np.array_equal(a.match_errors, b.match_errors)
-
-    def test_bad_profile_rejected(self):
-        rf = ReceptiveField(size=24, stride=8, padding=0)
-        with pytest.raises(ValueError):
-            RFBMEEngine((64, 64), rf, (8, 8), profile="fastest")
+        for backend in ("kernel", "batched"):
+            engine = RFBMEEngine((64, 64), rf, (8, 8), backend=backend)
+            for size in (6, 1, 4, 2, 6):
+                got = engine.estimate_batch(pairs[:size])
+                want = reference.estimate_batch(pairs[:size])
+                for a, b in zip(got, want):
+                    assert np.array_equal(a.field.data, b.field.data), backend
+                    assert np.array_equal(
+                        a.match_errors, b.match_errors
+                    ), backend

@@ -1,8 +1,9 @@
-"""Runtime-layer tests: spec building, workload construction, scheduler
+"""Runtime-layer tests: spec building, workload construction, shard
 backends, and the lockstep BatchedPipeline — including the contract that
 every execution path produces results identical to the serial loop."""
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -11,9 +12,12 @@ import pytest
 from repro.core import EVA2Pipeline, MatchErrorPolicy, StaticPolicy
 from repro.runtime import (
     BatchedPipeline,
-    ClipScheduler,
+    ClipRequest,
+    LaneWorker,
+    LegacyEngineError,
     PipelineSpec,
-    SchedulerConfig,
+    ServerConfig,
+    ServingRuntime,
     poisson_arrival_times,
     run_workload,
     slack_deadlines,
@@ -162,77 +166,79 @@ def _assert_identical(result, reference):
         np.testing.assert_array_equal(got.key_mask(), want.key_mask())
 
 
-class TestSchedulerBackends:
-    def test_serial(self, spec, workload, serial_result):
-        results = ClipScheduler(spec, SchedulerConfig(backend="serial")).run(workload)
-        for got, want in zip(results, serial_result.results):
-            np.testing.assert_array_equal(got.outputs(), want.outputs())
+def _serve_sharded(spec, clips, serve_workers, backend="process"):
+    """Static-admission serve over shards, as a WorkloadResult."""
+    runtime = ServingRuntime(
+        spec,
+        ServerConfig(max_batch=2, serve_workers=serve_workers,
+                     shard_backend=backend),
+    )
+    requests = [
+        ClipRequest(request_id=i, clip=clip) for i, clip in enumerate(clips)
+    ]
+    return runtime.serve(requests).workload_result()
 
-    def test_threads_match_serial(self, spec, workload, serial_result):
-        threaded = run_workload(
-            spec, workload, scheduler=SchedulerConfig(workers=2, backend="thread")
+
+class TestSchedulerBackends:
+    """Shard backend resolution (``ServerConfig.resolve_shard_backend``)
+    and the static-admission shard pools it selects."""
+
+    def test_serial(self, spec, workload, serial_result):
+        _assert_identical(
+            _serve_sharded(spec, workload, 2, backend="serial"), serial_result
         )
-        _assert_identical(threaded, serial_result)
-        assert threaded.path == "thread"
-        assert threaded.workers == 2
 
     def test_processes_match_serial(self, spec, workload, serial_result):
-        pooled = run_workload(
-            spec, workload, scheduler=SchedulerConfig(workers=2, backend="process")
-        )
-        _assert_identical(pooled, serial_result)
-        assert pooled.path == "process"
+        _assert_identical(_serve_sharded(spec, workload, 2), serial_result)
 
     def test_process_backend_mid_run_completion(self, spec):
-        """Ragged-length clips finish at different times mid-run; workers
-        are recycled onto the remaining clips and per-clip results stay
-        identical and input-ordered."""
+        """Ragged-length clips finish at different times mid-run on each
+        shard; per-clip results stay identical and input-ordered."""
         mixed = (
             synthetic_workload(2, num_frames=8, base_seed=2)
             + synthetic_workload(3, num_frames=3, base_seed=21)
             + synthetic_workload(2, num_frames=5, base_seed=33)
         )
         serial = run_workload(spec, mixed, batch=False)
-        pooled = run_workload(
-            spec, mixed, scheduler=SchedulerConfig(workers=2, backend="process")
-        )
+        pooled = _serve_sharded(spec, mixed, 2)
         assert [len(r) for r in pooled.results] == [8, 8, 3, 3, 3, 5, 5]
         _assert_identical(pooled, serial)
 
     def test_process_backend_more_workers_than_clips(self, spec, workload,
                                                      serial_result):
-        """A pool wider than the workload leaves workers idle, not wrong."""
-        pooled = run_workload(
-            spec,
-            workload,
-            scheduler=SchedulerConfig(workers=len(workload) + 2,
-                                      backend="process"),
-        )
+        """A pool wider than the workload builds no empty shards and
+        stays exact."""
+        pooled = _serve_sharded(spec, workload, len(workload) + 2)
         _assert_identical(pooled, serial_result)
 
     def test_auto_resolution(self):
-        assert SchedulerConfig(workers=0).resolve(8) == "serial"
-        assert SchedulerConfig(workers=4, backend="thread").resolve(8) == "thread"
-        assert SchedulerConfig(workers=4).resolve(1) == "serial"
+        assert ServerConfig(serve_workers=1).resolve_shard_backend(8) == "serial"
+        assert ServerConfig(
+            serve_workers=4, shard_backend="process"
+        ).resolve_shard_backend(8) == "process"
+        assert ServerConfig(serve_workers=4).resolve_shard_backend(1) == "serial"
 
-    def test_explicit_backend_with_no_workers_runs_serially(
-        self, spec, workload, serial_result
-    ):
-        """An explicit pool backend with workers <= 1 is the serial path,
-        not a zero-worker pool crash."""
-        config = SchedulerConfig(backend="thread")
-        assert config.resolve(len(workload)) == "serial"
-        results = ClipScheduler(spec, config).run(workload)
-        for got, want in zip(results, serial_result.results):
-            np.testing.assert_array_equal(got.outputs(), want.outputs())
+    def test_auto_counts_usable_cores(self, monkeypatch):
+        """``auto`` sizes against the cores this process may run on, not
+        the host's: one usable core of eight resolves to serial."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert ServerConfig(serve_workers=2).resolve_shard_backend(2) == "serial"
+
+    def test_explicit_backend_with_no_workers_runs_serially(self):
+        """An explicit pool backend with one worker is the inline path,
+        not a one-process pool."""
+        config = ServerConfig(shard_backend="process")
+        assert config.resolve_shard_backend(4) == "serial"
 
     def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError):
-            SchedulerConfig(backend="quantum")
+        with pytest.raises(ValueError, match="shard_backend"):
+            ServerConfig(shard_backend="quantum")
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
-            SchedulerConfig(workers=-1)
+            ServerConfig(serve_workers=-1)
 
 
 def _limited_blas_pool(processes):
@@ -282,24 +288,29 @@ class TestBatchedPipeline:
         _assert_identical(lockstep, serial_result)
         assert lockstep.path == "lockstep"
 
-    def test_lockstep_without_cnn_batching_matches_serial(
-        self, spec, workload, serial_result
-    ):
-        """The original lockstep shape (batched RFBME, per-clip CNN) —
-        the legacy engine's graph — still produces identical results."""
+    def test_batched_runtimes_reject_legacy_engine(self, workload):
+        """The legacy engine is the serial oracle only: every batched
+        runtime refuses it by name before building anything."""
         legacy = PipelineSpec(network=NETWORK, cnn_engine="legacy")
-        lockstep = BatchedPipeline(legacy).run_workload(workload)
-        _assert_identical(lockstep, serial_result)
+        for build in (
+            lambda: BatchedPipeline(legacy),
+            lambda: run_workload(legacy, workload, batch=True),
+            lambda: ServingRuntime(legacy),
+            lambda: ServingRuntime({"a": PipelineSpec(network=NETWORK),
+                                    "b": legacy}),
+            lambda: LaneWorker("default", legacy, capacity=2),
+        ):
+            with pytest.raises(LegacyEngineError, match="batch=False"):
+                build()
 
-    def test_legacy_engine_and_pr1_profile_match(self, workload, serial_result):
-        """The legacy CNN engine + pr1 RFBME host profile — the runtime
-        benchmark's baseline — reproduces the same results bit for bit."""
-        legacy = PipelineSpec(
-            network=NETWORK, cnn_engine="legacy", rfbme_profile="pr1"
+    def test_legacy_oracle_matches_planned_serial(self, workload,
+                                                  serial_result):
+        """The seed oracle's CNN half (the layer-by-layer legacy engine)
+        and the planned engine agree bit for bit on the serial path."""
+        legacy = PipelineSpec(network=NETWORK, cnn_engine="legacy")
+        _assert_identical(
+            run_workload(legacy, workload, batch=False), serial_result
         )
-        for batch in (False, True):
-            result = run_workload(legacy, workload, batch=batch)
-            _assert_identical(result, serial_result)
 
     def test_memoize_network_lockstep_matches_serial(self):
         """Cross-clip CNN batching with memoization (classification
@@ -334,10 +345,6 @@ class TestBatchedPipeline:
     def test_float32_requires_planned_engine(self):
         with pytest.raises(ValueError):
             PipelineSpec(network=NETWORK, cnn_engine="legacy", dtype="float32")
-
-    def test_bad_profile_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineSpec(network=NETWORK, rfbme_profile="pr2")
 
     def test_ragged_clip_lengths(self, spec, serial_result):
         """Clips of different lengths run in lockstep without padding."""

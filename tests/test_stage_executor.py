@@ -158,14 +158,14 @@ class TestWriteSetEnforcement:
         """The real frame lifecycle runs clean under full enforcement —
         every mutation it performs is one it declared."""
         batch = self._occupied_batch(spec, clips)
-        env = frame_lifecycle_graph(planned=True).run(
+        env = frame_lifecycle_graph().run(
             batch, enforce_writes=True
         )
         assert len(env["records"]) == len(batch)
 
     def test_effects_default_from_stage_functions(self):
         """Stages inherit the write sets their functions declare."""
-        graph = frame_lifecycle_graph(planned=True)
+        graph = frame_lifecycle_graph()
         by_name = {stage.name: stage for stage in graph}
         assert by_name["rfbme"].writes == {ENGINE_SCRATCH}
         assert by_name["decide"].writes == {POLICY_STATE}
@@ -227,7 +227,7 @@ class TestStageExecutor:
         """On the lifecycle graph phase 1 ends with final decisions and
         no CNN output yet."""
         batch = TestWriteSetEnforcement()._occupied_batch(spec, clips)
-        executor = StageExecutor(frame_lifecycle_graph(planned=True))
+        executor = StageExecutor(frame_lifecycle_graph())
         env = executor.begin_step(batch)
         assert set(env) == {"batch", "estimations", "decisions"}
         assert len(executor.finish_step(env)["records"]) == len(batch)

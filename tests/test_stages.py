@@ -177,7 +177,7 @@ class TestLaneStatePickle:
         original = worker.state
         restored = _clone(original)
 
-        graph = frame_lifecycle_graph(planned=True)
+        graph = frame_lifecycle_graph()
         for _ in range(3):
             batches = [_next_batch(s, clips) for s in (original, restored)]
             envs = [graph.run(b) for b in batches]
@@ -215,16 +215,12 @@ class TestLaneStatePickle:
 
 class TestStageGraphValidation:
     def test_declaration_order_is_execution_order(self):
-        graph = frame_lifecycle_graph(planned=True)
+        graph = frame_lifecycle_graph()
         names = [stage.name for stage in graph]
         assert names == [
             "rfbme", "decide", "cnn_prefix", "warp", "cnn_suffix", "record",
         ]
         assert "outputs" in graph.produces
-
-    def test_legacy_graph_shape(self):
-        names = [stage.name for stage in frame_lifecycle_graph(planned=False)]
-        assert names == ["rfbme", "decide", "legacy_cnn", "record"]
 
     def test_unproduced_input_rejected(self):
         with pytest.raises(ValueError, match="consumes"):
