@@ -50,6 +50,7 @@ from ..hardware.fixed_point import QuantSavings
 from ..nn.inference import quantized_savings, resolve_plan_dtype
 from ..video.generator import VideoClip
 from .prefix_service import PrefixService
+from .scheduler import single_blas_thread
 from .spec import PipelineSpec
 from .stage_graph import StageExecutor, frame_lifecycle_graph
 
@@ -255,8 +256,10 @@ class BatchedPipeline:
             )
         self.prefix_cache_mb = float(prefix_cache_mb)
 
+    @single_blas_thread()
     def run_workload(self, clips: Sequence[VideoClip]) -> WorkloadResult:
-        """Process every clip; bit-identical to the serial path."""
+        """Process every clip on one BLAS thread; bit-identical to the
+        serial path, which keeps the caller's pool."""
         start = time.perf_counter()
         network = self.spec.shared_network()  # executors never mutate it
         # One slot per clip.  Slot 0's executor lends its RFBME engine to

@@ -4,22 +4,26 @@
   shared admission.
 * :class:`ShardCrashError` is what a serve raises instead of hanging
   when a shard process dies or stalls.
-* :func:`limit_blas_threads` sizes a child process's OpenBLAS pool to
-  its share of the usable cores (:func:`blas_thread_share`), so N
-  shard processes do not oversubscribe the host N-fold.
+* :func:`single_blas_thread` runs a block on a one-thread OpenBLAS
+  pool.  Every runtime step runs inside it (lockstep, every serving
+  backend, every shard process): the runtime's parallelism lives in
+  shard processes, never inside a GEMM, whose second BLAS thread burns
+  a core without shortening a step.  Offline ``InferencePlan.run`` and
+  the serial seed oracle keep the caller's pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import os
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Iterator, Mapping, Sequence
 
 __all__ = [
     "ShardCrashError",
-    "blas_thread_share",
     "deal_shard_budget",
-    "limit_blas_threads",
+    "single_blas_thread",
 ]
 
 
@@ -62,19 +66,6 @@ class ShardCrashError(RuntimeError):
         self.lost = tuple(lost)
 
 
-def blas_thread_share(cores: int, processes: int, current: int) -> int:
-    """BLAS threads for one of ``processes`` concurrent BLAS-running
-    processes on ``cores`` usable cores.
-
-    An even share of the cores, at least one thread, and never more
-    than the ``current`` pool — an operator's lower
-    ``OPENBLAS_NUM_THREADS`` still wins.  Dividing by the process count
-    (rather than forcing one thread) keeps a lone process at its full
-    pool while N processes stop oversubscribing the cores N-fold.
-    """
-    return max(1, min(current, cores // max(1, processes)))
-
-
 #: ``(get, set)`` thread-count symbols, numpy's scipy-openblas wheel
 #: (64-bit interface) first, then a system OpenBLAS build.
 _OPENBLAS_SYMBOLS = (
@@ -83,12 +74,16 @@ _OPENBLAS_SYMBOLS = (
 )
 
 
+@functools.cache
 def _openblas_thread_api():
     """``(get, set)`` of the OpenBLAS loaded in this process, or None.
 
     Finds the library through ``/proc/self/maps`` (numpy loads it with
     local symbol binding, so a global lookup misses it).  None where
     that file is missing or no OpenBLAS is loaded (MKL, Accelerate).
+    Looked up once per process (forked children inherit the answer);
+    the runtime modules import numpy, so its BLAS is loaded by the
+    first call.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -121,23 +116,22 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def limit_blas_threads(processes: int) -> Optional[int]:
-    """Size this process's OpenBLAS pool to its share of the cores.
+@contextlib.contextmanager
+def single_blas_thread() -> Iterator[None]:
+    """Run the block with this process's OpenBLAS pool at one thread.
 
-    Called at the entry of every child process that runs BLAS beside
-    ``processes - 1`` siblings (the static shard pool, supervised shards),
-    before any network is built, so plan compilation and the fused-GEMM
-    probe see the thread count the process will serve with.  Returns
-    the resulting pool size, or None — changing nothing — when no
-    OpenBLAS is loaded.
+    Restores the caller's pool on exit, exceptions included, and nests
+    (an inner scope finds one thread and leaves it).  Does nothing when
+    no OpenBLAS thread API is loaded (MKL, Accelerate).
     """
     api = _openblas_thread_api()
     if api is None:
-        return None
+        yield
+        return
     get, set_ = api
-    current = get()
-    threads = blas_thread_share(_usable_cores(), processes, current)
-    if threads != current:
-        set_(threads)
-    return threads
-
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)

@@ -114,11 +114,7 @@ from .frontdoor import (
     as_request_source,
 )
 from .prefix_service import PrefixService, PrefixStats
-from .scheduler import (
-    ShardCrashError,
-    deal_shard_budget,
-    limit_blas_threads,
-)
+from .scheduler import ShardCrashError, deal_shard_budget, single_blas_thread
 from .spec import PipelineSpec
 from .stage_graph import StageExecutor, frame_lifecycle_graph
 from .supervision import (
@@ -911,8 +907,10 @@ class _ShardTask:
     prefix_cache_mb: float = 0.0
 
 
+@single_blas_thread()
 def _run_shard(task: _ShardTask) -> _ShardOutcome:
-    """Build a warm worker for the shard and serve its slice.
+    """Build a warm worker for the shard and serve its slice, on one
+    BLAS thread (like every runtime step).
 
     Module-level so the static-admission process pool can ship it to
     worker processes; construction (network load, plan compile at
@@ -1629,8 +1627,10 @@ class ServingRuntime:
             return StaticShardBackend(self)
         return SharedAdmissionBackend(self)
 
+    @single_blas_thread()
     def serve(self, requests) -> ServingReport:
-        """Serve a request stream; returns per-request accounting.
+        """Serve a request stream on one BLAS thread; returns
+        per-request accounting.
 
         ``requests`` is anything :func:`as_request_source` accepts: a
         sequence (the historical path — routing and duplicate-id
@@ -1735,14 +1735,8 @@ class ServingRuntime:
                 for task in tasks
             ]
         else:
-            # Each shard process sizes its BLAS pool to its share of the
-            # cores before building a network.
             workers = min(self.config.pool_workers, len(tasks))
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=limit_blas_threads,
-                initargs=(workers,),
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(_run_shard, tasks))
 
         return self._aggregate_shards(outcomes)

@@ -67,7 +67,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scheduler import ShardCrashError, limit_blas_threads
+from .scheduler import ShardCrashError, single_blas_thread
 from .spec import PipelineSpec
 
 __all__ = [
@@ -442,18 +442,14 @@ class SupervisedShardTask:
     #: counters come home in the shard's tail message).
     prefix_coalesce: bool = True
     prefix_cache_mb: float = 0.0
-    #: the most shard processes the serve may run at once; the child
-    #: sizes its BLAS pool to that share of the cores.
-    fleet: int = 1
 
 
+@single_blas_thread()
 def _run_supervised_shard(task: SupervisedShardTask) -> None:
     """Shard main: build, sync clocks, then admit/step/ack until retired.
 
-    Sizes its BLAS pool to its share of the cores for ``task.fleet``
-    shards first, so the plan compiles and probes fused GEMMs at the
-    thread count it serves with.  Builds its own
-    :class:`~repro.runtime.serving.LaneWorker` (network
+    Runs its whole life on one BLAS thread, like every runtime step.
+    Builds its own :class:`~repro.runtime.serving.LaneWorker` (network
     and plan compile stay out of latency accounting), reports ready,
     and blocks for the parent's ``("go", t0)`` — its clock base is set
     so readings land on the parent's timeline (``CLOCK_MONOTONIC`` is
@@ -470,7 +466,6 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
 
     from .serving import LaneWorker, _finalize_step
 
-    limit_blas_threads(task.fleet)
     worker = LaneWorker(
         task.lane, task.spec, task.capacity, shard=task.shard,
         prefix_coalesce=task.prefix_coalesce,
@@ -664,14 +659,6 @@ class ShardSupervisor:
     ) -> SupervisionResult:
         import multiprocessing
 
-        # Size BLAS pools for the largest fleet this serve may run: an
-        # autoscaled lane can grow to max_shards.
-        fleet = sum(lane_shards.values())
-        if self.autoscaler is not None:
-            fleet = sum(
-                max(count, self.autoscaler.policy.max_shards)
-                for count in lane_shards.values()
-            )
         manager = multiprocessing.Manager()
         shards: List[_ShardState] = []
         try:
@@ -690,7 +677,6 @@ class ShardSupervisor:
                     beat_interval=self.config.beat_interval,
                     prefix_coalesce=self.prefix_coalesce,
                     prefix_cache_mb=self.prefix_cache_mb,
-                    fleet=fleet,
                 )
                 process = multiprocessing.Process(
                     target=_run_supervised_shard, args=(task,), daemon=True

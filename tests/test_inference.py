@@ -12,6 +12,7 @@ import pytest
 
 from repro.nn import InferencePlan
 from repro.nn.train import get_trained_network
+from repro.runtime.scheduler import single_blas_thread
 
 NETWORKS = ("mini_fasterm", "mini_alexnet", "mini_faster16")
 
@@ -118,6 +119,28 @@ class TestFloat32:
         assert p64 is not p32
         assert net.inference_plan(max_batch=2) is p64
         assert net.inference_plan(max_batch=2, dtype="float32") is p32
+
+
+class TestFusedProbe:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_verdict_independent_of_blas_pool(self, net, dtype):
+        """A plan caches its fused-GEMM verdict per batch size and shares
+        it between offline calls (the caller's BLAS pool) and runtime
+        steps (one thread), so the verdict must not depend on the pool."""
+        plan = InferencePlan(net, max_batch=16, dtype=dtype)
+        steps = [s for s in plan._steps if hasattr(s, "_probe_fused")]
+        assert steps
+
+        def verdicts():
+            return [
+                step._probe_fused(step._operands()[0],
+                                  getattr(step, "rows", 1), batch)
+                for step in steps for batch in range(2, 17)
+            ]
+
+        default_pool = verdicts()
+        with single_blas_thread():
+            assert verdicts() == default_pool
 
 
 class TestPlanCache:

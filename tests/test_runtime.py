@@ -4,7 +4,6 @@ every execution path produces results identical to the serial loop."""
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,12 +22,11 @@ from repro.runtime import (
     slack_deadlines,
     synthetic_workload,
 )
-from repro.runtime.scheduler import (
-    _openblas_thread_api,
-    _usable_cores,
-    blas_thread_share,
-    limit_blas_threads,
-)
+from repro.nn.inference import InferencePlan
+from repro.runtime import scheduler
+from repro.runtime import serving as serving_module
+from repro.runtime.scheduler import _openblas_thread_api, single_blas_thread
+from repro.runtime.supervision import SupervisedShardTask, _run_supervised_shard
 
 NETWORK = "mini_fasterm"
 
@@ -241,43 +239,122 @@ class TestSchedulerBackends:
             ServerConfig(serve_workers=-1)
 
 
-def _limited_blas_pool(processes):
-    """Child entry: apply the share rule, then read the pool back."""
-    returned = limit_blas_threads(processes)
-    return returned, _openblas_thread_api()[0]()
+@pytest.fixture
+def blas_pool():
+    """The OpenBLAS pool size getter, with the pool widened to two
+    threads for the test (so narrowing shows even where the default
+    pool is one) and the caller's pool restored afterwards."""
+    api = _openblas_thread_api()
+    if api is None:
+        pytest.skip("no OpenBLAS set_num_threads symbol in this process")
+    get, set_ = api
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
 
 
-class TestBlasThreadShare:
-    @pytest.mark.parametrize("cores,processes,expected", [
-        (1, 1, 1), (1, 2, 1), (1, 4, 1),
-        (2, 1, 2), (2, 2, 1), (2, 4, 1),
-        (8, 1, 8), (8, 2, 4), (8, 4, 2),
-    ])
-    def test_even_share_of_the_cores(self, cores, processes, expected):
-        assert blas_thread_share(cores, processes, current=64) == expected
-        # Never above the pool the process already has, never below 1.
-        for current in (1, 2, 3):
-            assert blas_thread_share(cores, processes, current) == min(
-                expected, current
-            )
+@pytest.fixture
+def plan_pools(monkeypatch, blas_pool):
+    """The pool size seen by every ``InferencePlan._execute`` call."""
+    seen = []
+    execute = InferencePlan._execute
 
-    @pytest.mark.parametrize("processes", [1, 2, 4])
-    def test_forked_child_pool_is_limited(self, processes):
+    def spy(plan, x, start, stop):
+        seen.append(blas_pool())
+        return execute(plan, x, start, stop)
+
+    monkeypatch.setattr(InferencePlan, "_execute", spy)
+    return seen
+
+
+class TestSingleBlasThread:
+    def test_one_thread_inside_then_restored(self, blas_pool):
+        with single_blas_thread():
+            assert blas_pool() == 1
+        assert blas_pool() == 2
+
+    def test_restored_when_the_block_raises(self, blas_pool):
+        with pytest.raises(RuntimeError, match="boom"):
+            with single_blas_thread():
+                assert blas_pool() == 1
+                raise RuntimeError("boom")
+        assert blas_pool() == 2
+
+    def test_nests(self, blas_pool):
+        with single_blas_thread():
+            with single_blas_thread():
+                assert blas_pool() == 1
+            assert blas_pool() == 1
+        assert blas_pool() == 2
+
+    def test_no_op_without_thread_api(self, monkeypatch):
         api = _openblas_thread_api()
-        if api is None:
-            pytest.skip("no OpenBLAS set_num_threads symbol in this process")
+        before = api[0]() if api is not None else None
+        monkeypatch.setattr(scheduler, "_openblas_thread_api", lambda: None)
+        with single_blas_thread():
+            if api is not None:
+                assert api[0]() == before  # left alone
+        with pytest.raises(RuntimeError, match="boom"):
+            with single_blas_thread():
+                raise RuntimeError("boom")
+
+    def test_lookup_is_cached(self):
+        assert _openblas_thread_api() is _openblas_thread_api()
+
+    @pytest.mark.parametrize("batch,pool", [(True, 1), (False, 2)])
+    def test_run_workload_pool(self, spec, workload, plan_pools, blas_pool,
+                               batch, pool):
+        """Lockstep plan calls run on one thread; the serial oracle
+        keeps the caller's pool.  Either way the caller's pool is left
+        as it was."""
+        run_workload(spec, workload, batch=batch)
+        assert plan_pools and set(plan_pools) == {pool}
+        assert blas_pool() == 2
+
+    @pytest.mark.parametrize("config", [
+        ServerConfig(max_batch=2),
+        ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial"),
+        ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial",
+                     admission="shared"),
+    ], ids=["in_process", "static_shards", "shared_admission"])
+    def test_serve_runs_on_one_thread(self, spec, workload, serial_result,
+                                      plan_pools, blas_pool, config):
+        requests = [
+            ClipRequest(request_id=i, clip=clip)
+            for i, clip in enumerate(workload)
+        ]
+        served = ServingRuntime(spec, config).serve(requests)
+        assert plan_pools and set(plan_pools) == {1}
+        assert blas_pool() == 2
+        _assert_identical(served.workload_result(), serial_result)
+
+    def test_forked_supervised_shard_runs_on_one_thread(
+        self, spec, monkeypatch, blas_pool
+    ):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method unavailable")
-        before = api[0]()
-        with ProcessPoolExecutor(
-            max_workers=1, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            returned, pool_size = pool.submit(
-                _limited_blas_pool, processes
-            ).result(timeout=60)
-        expected = blas_thread_share(_usable_cores(), processes, before)
-        assert returned == pool_size == expected
-        assert api[0]() == before  # the parent's pool is untouched
+        context = multiprocessing.get_context("fork")
+        reports = context.SimpleQueue()
+
+        class PoolProbe:
+            """Stands in for the shard's LaneWorker: reports the pool the
+            shard would build and serve with, then exits the child."""
+
+            def __init__(self, *args, **kwargs):
+                reports.put(blas_pool())
+                os._exit(0)
+
+        monkeypatch.setattr(serving_module, "LaneWorker", PoolProbe)
+        task = SupervisedShardTask(
+            lane="a", shard=0, spec=spec, capacity=2, inbox=None, events=None
+        )
+        child = context.Process(target=_run_supervised_shard, args=(task,))
+        child.start()
+        child.join(60)
+        assert child.exitcode == 0
+        assert reports.get() == 1
+        assert blas_pool() == 2  # the parent's pool is untouched
 
 
 class TestBatchedPipeline:

@@ -176,10 +176,10 @@ class TestSharded:
         """The real multiprocess path: workers build their own network
         and plan (plan-per-worker), results aggregate bit-identically.
 
-        Shard processes serve with their share of the BLAS pool while
-        the serial reference ran at this process's default pool.  The
-        second input runs supervised shards at batches of 4, so the
-        float64 plans probe and run fused GEMMs under the limit."""
+        Shard processes serve on one BLAS thread while the serial
+        reference ran at this process's default pool.  The second input
+        runs supervised shards at batches of 4, so the float64 plans
+        probe and run fused GEMMs on one thread."""
         inputs = [
             (synthetic_workload(4, num_frames=4, base_seed=23),
              ServerConfig(max_batch=2, serve_workers=2,
