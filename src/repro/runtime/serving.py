@@ -1825,10 +1825,11 @@ class ServingRuntime:
         with the discrete-event loop — deterministic, injected-clock
         friendly, and directly comparable to the static path's
         per-shard timelines.  The ``process`` backend realizes the
-        shared queue for real: the parent releases requests at their
-        arrival times into manager queues that the shard processes pull
-        from (work stealing at request granularity, real clock — or
-        logical timestamps under ``virtual_time``).
+        shared queue for real: the parent holds the queue and, at each
+        request's arrival time, sends its seq down the pipe of the lane
+        shard with the most free credit (work stealing at request
+        granularity, real clock — or logical timestamps under
+        ``virtual_time``).
 
         With an autoscale policy each lane starts at the policy's
         ``min_shards`` and grows/shrinks from observed queue depth and

@@ -32,17 +32,29 @@ re-dispatch explicitly.
   late or silently dropped.  Admission among due requests is
   earliest-deadline-first.
 
-The supervised child protocol (all messages flow through one shared
-event queue; dispatches flow through per-shard inboxes)::
+The supervised child protocol runs over one duplex
+``multiprocessing.Pipe`` per shard, and both ends block on it (the
+parent in ``multiprocessing.connection.wait`` over every shard's pipe
+and process sentinel, a shard in ``poll`` until its next heartbeat is
+due) instead of polling on a fixed tick::
 
-    child -> parent: ("ready", lane, shard, pid)
-                     ("beat",  lane, shard, t)          throttled
-                     ("ack",   lane, shard, seq, record) per completion
-                     ("done",  lane, shard, tail)        final counters
+    child -> parent: ("ready",)
+                     ("beat",)              throttled to beat_interval
+                     ("ack", seq, record)   per completion
+                     ("done", tail)         final counters
     parent -> child: ("go", t0)     release, clock base = parent time t0
                      ("skip", dt)   virtual-time jump: advance clock dt
-                     (seq, request) dispatch
+                     seq            dispatch: run request ``seq``
                      None           retire sentinel
+
+A dispatch names a submission seq, never ships the request: every
+shard task carries its lane's ``{seq: ClipRequest}`` table, known before
+any shard is spawned (under ``fork`` the child inherits it for free;
+respawned and autoscaled shards are forked later from the same parent
+and hold it too).  Every parent -> child message is a few bytes, so the
+parent never blocks on a stalled shard's pipe.  A dead shard shows up
+as end-of-file on its pipe or as its process sentinel; a send to a dead
+shard is that shard's crash, never an error out of ``serve()``.
 
 Virtual-time admission (``ShardSupervisor(virtual_time=True)``): when
 every shard is idle and the next arrival is in the future, the parent
@@ -431,10 +443,10 @@ class SupervisedShardTask:
     shard: int
     spec: PipelineSpec
     capacity: int
-    #: manager queue the parent dispatches ``(seq, request)`` into.
-    inbox: object
-    #: shared manager queue for ready/beat/ack/done messages.
-    events: object
+    #: the child end of this shard's duplex pipe to the parent.
+    conn: object
+    #: the lane's ``{seq: ClipRequest}`` table; a dispatch sends the seq.
+    requests: Mapping[int, object]
     #: this shard's slice of the fault plan, on its post-release clock.
     faults: Tuple[FaultEvent, ...] = ()
     beat_interval: float = 0.05
@@ -460,21 +472,23 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
     against the shard's own clock: ``kill`` is ``os._exit`` (a real
     crash — no cleanup, no goodbyes), ``stall`` a literal sleep with
     heartbeats suppressed, ``drop_ack`` a swallowed acknowledgement.
+    An idle shard sleeps in ``poll`` until a message arrives or its
+    next heartbeat (or injected fault) is due.
     """
-    import queue as queue_module
     from collections import deque
 
     from .serving import LaneWorker, _finalize_step
 
+    conn = task.conn
     worker = LaneWorker(
         task.lane, task.spec, task.capacity, shard=task.shard,
         prefix_coalesce=task.prefix_coalesce,
         prefix_cache_mb=task.prefix_cache_mb,
     )
-    task.events.put(("ready", task.lane, task.shard, os.getpid()))
-    go = task.inbox.get()  # parent always answers with go or a sentinel
+    conn.send(("ready",))
+    go = conn.recv()  # parent always answers with go or a sentinel
     if go is None:
-        task.events.put(("done", task.lane, task.shard, {}))
+        conn.send(("done", {}))
         return
     start = time.perf_counter() - float(go[1])
 
@@ -492,6 +506,17 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
     mean_step = 1e-3
     last_beat = -math.inf
     draining = False
+
+    def receive() -> None:
+        nonlocal start, draining
+        item = conn.recv()
+        if item is None:
+            draining = True
+        elif isinstance(item, tuple):  # ("skip", dt): the clock leaps
+            start -= float(item[1])
+        else:
+            worker.admit(item, task.requests[item], now())
+
     while True:
         current = now()
         while stalls and stalls[0].at <= current:
@@ -504,19 +529,10 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
         if kills and kills[0].at <= current:
             os._exit(23)  # injected crash: no cleanup, no final ack
         if current - last_beat >= task.beat_interval:
-            task.events.put(("beat", task.lane, task.shard, current))
+            conn.send(("beat",))
             last_beat = current
-        while not draining and worker.has_free_slot():
-            try:
-                item = task.inbox.get_nowait()
-            except queue_module.Empty:
-                break
-            if item is None:
-                draining = True
-            elif item[0] == "skip":
-                start -= float(item[1])  # virtual-time jump: clock leaps
-            elif item[0] != "go":  # a duplicate release is inert
-                worker.admit(item[0], item[1], now())
+        while not draining and worker.has_free_slot() and conn.poll():
+            receive()
         if worker.has_active():
             step_start = time.perf_counter()
             finished = worker.step()
@@ -530,27 +546,24 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
                 if drops and drops[0].at <= now():
                     drops.popleft()  # the ack is lost; the work was not
                 else:
-                    task.events.put(
-                        ("ack", task.lane, task.shard, resident.seq, record)
-                    )
+                    conn.send(("ack", resident.seq, record))
         elif draining:
             break
         else:
+            # Idle: sleep on the pipe until the next heartbeat or
+            # injected fault is due.
+            wake = last_beat + task.beat_interval
+            if kills:
+                wake = min(wake, kills[0].at)
+            if stalls:
+                wake = min(wake, stalls[0].at)
             wait_start = time.perf_counter()
-            try:
-                item = task.inbox.get(timeout=0.02)
-            except queue_module.Empty:
-                idle += time.perf_counter() - wait_start
-                continue
+            arrived = conn.poll(max(0.0, wake - now()))
             idle += time.perf_counter() - wait_start
-            if item is None:
-                draining = True
-            elif item[0] == "skip":
-                start -= float(item[1])
-            elif item[0] != "go":
-                worker.admit(item[0], item[1], now())
+            if arrived:
+                receive()
     prefix = worker.prefix_service.stats
-    task.events.put(("done", task.lane, task.shard, {
+    conn.send(("done", {
         "wall": busy,
         "idle": idle,
         "steps": steps,
@@ -587,13 +600,15 @@ class _ShardState:
     lane: str
     shard: int
     process: object
-    inbox: object
+    #: the parent end of this shard's duplex pipe.
+    conn: object
     ready: bool = False
     released: bool = False
     alive: bool = True
     done: bool = False
-    #: sentinel sent by the autoscaler: finishing residents, admits
-    #: nothing new, retires when empty.
+    #: retire sentinel sent (by the autoscaler, or at the end of the
+    #: serve): finishing residents, admits nothing new, retires when
+    #: empty.
     draining: bool = False
     #: last sign of life, on the REAL clock (``time.perf_counter()``) —
     #: virtual-time jumps must never read as heartbeat silence.
@@ -601,6 +616,23 @@ class _ShardState:
     tail: Optional[dict] = None
     in_flight: Dict[int, _PendingEntry] = field(default_factory=dict)
     records: Dict[int, object] = field(default_factory=dict)
+
+
+def _wait_shards(states: Sequence[_ShardState],
+                 timeout: float) -> List[_ShardState]:
+    """Block until a shard's pipe is readable or its process exits.
+
+    Returns the shards that woke (pipe data, end-of-file, or process
+    sentinel), in ``states`` order; an empty list once ``timeout``
+    seconds pass with no event.
+    """
+    from multiprocessing.connection import wait
+
+    handles = [s.conn for s in states] + [s.process.sentinel for s in states]
+    woke = set(wait(handles, timeout))
+    return [
+        s for s in states if s.conn in woke or s.process.sentinel in woke
+    ]
 
 
 class ShardSupervisor:
@@ -621,7 +653,11 @@ class ShardSupervisor:
     a lane with work but no shards and no respawn budget — terminates
     everything and raises
     :class:`~repro.runtime.scheduler.ShardCrashError`; a run never
-    hangs (``drain_timeout`` bounds any no-progress stretch).
+    hangs (``drain_timeout`` bounds any no-progress stretch).  Between
+    events the parent sleeps in ``multiprocessing.connection.wait`` on
+    every shard's pipe and process sentinel, until the nearest timed
+    event (arrival, deadline, ack or heartbeat timeout, autoscale
+    cadence), at most ``beat_interval``.
     """
 
     def __init__(
@@ -659,50 +695,51 @@ class ShardSupervisor:
     ) -> SupervisionResult:
         import multiprocessing
 
-        manager = multiprocessing.Manager()
+        # Every shard of a lane carries the lane's request table, so a
+        # dispatch only names a seq.
+        tables = {lane: dict(items) for lane, items in per_lane.items()}
         shards: List[_ShardState] = []
         try:
-            events = manager.Queue()
-
             def spawn(lane: str, shard: int) -> _ShardState:
-                inbox = manager.Queue()
+                conn, child_conn = multiprocessing.Pipe()
                 task = SupervisedShardTask(
                     lane=lane,
                     shard=shard,
                     spec=self.specs[lane],
                     capacity=self.capacity,
-                    inbox=inbox,
-                    events=events,
+                    conn=child_conn,
+                    requests=tables[lane],
                     faults=self.plan.for_shard(lane, shard),
                     beat_interval=self.config.beat_interval,
                     prefix_coalesce=self.prefix_coalesce,
                     prefix_cache_mb=self.prefix_cache_mb,
                 )
                 process = multiprocessing.Process(
-                    target=_run_supervised_shard, args=(task,), daemon=True
+                    target=_run_supervised_shard, args=(task,), daemon=True,
+                    name=f"shard {lane}/{shard}",
                 )
                 process.start()
-                state = _ShardState(lane, shard, process, inbox)
+                # Only the child holds its end now: end-of-file on
+                # ``conn`` means the shard is gone.
+                child_conn.close()
+                state = _ShardState(lane, shard, process, conn)
                 shards.append(state)
                 return state
 
             for lane, count in lane_shards.items():
                 for shard in range(count):
                     spawn(lane, shard)
-            return self._serve_loop(per_lane, lane_shards, events, spawn,
-                                    shards)
+            return self._serve_loop(per_lane, lane_shards, spawn, shards)
         finally:
             for state in shards:
                 if state.process.is_alive():
                     state.process.terminate()
             for state in shards:
                 state.process.join(timeout=5)
-            manager.shutdown()
+                state.conn.close()
 
     # ---------------------------------------------------------------- #
-    def _serve_loop(self, per_lane, lane_shards, events, spawn, shards):
-        import queue as queue_module
-
+    def _serve_loop(self, per_lane, lane_shards, spawn, shards):
         config = self.config
         ack_timeout = config.resolved_ack_timeout
 
@@ -712,34 +749,32 @@ class ShardSupervisor:
         # spec), surfaced immediately rather than supervised around.
         build_deadline = time.perf_counter() + 300
         while any(not s.ready for s in shards):
-            for state in shards:
-                if not state.ready and not state.process.is_alive():
+            building = [s for s in shards if not s.ready]
+            remaining = build_deadline - time.perf_counter()
+            if remaining <= 0:
+                raise ShardCrashError(
+                    "supervised shards failed to report ready within 300s"
+                )
+            for state in _wait_shards(building, remaining):
+                try:
+                    # "ready" is the only message a shard sends unreleased.
+                    state.ready = (state.conn.poll()
+                                   and state.conn.recv() == ("ready",))
+                except (EOFError, ConnectionError):
+                    state.ready = False
+                if not state.ready:
+                    state.process.join(timeout=5)
                     raise ShardCrashError(
                         f"shard {state.lane}/{state.shard} died while "
                         f"building (exit code {state.process.exitcode}); "
                         f"nothing was dispatched",
                     )
-            if time.perf_counter() > build_deadline:
-                raise ShardCrashError(
-                    "supervised shards failed to report ready within 300s"
-                )
-            try:
-                message = events.get(timeout=0.05)
-            except queue_module.Empty:
-                continue
-            if message[0] == "ready":
-                self._state_of(shards, message[1], message[2]).ready = True
 
         base = time.perf_counter()
-        offset = [0.0]  # virtual seconds jumped over idle gaps
+        offset = 0.0  # virtual seconds jumped over idle gaps
 
         def now() -> float:
-            return time.perf_counter() - base + offset[0]
-
-        for state in shards:
-            state.inbox.put(("go", now()))
-            state.released = True
-            state.last_beat = time.perf_counter()
+            return time.perf_counter() - base + offset
 
         pending: List[_PendingEntry] = [
             _PendingEntry(seq=seq, request=request, lane=lane,
@@ -756,6 +791,8 @@ class ShardSupervisor:
         last_observe = 0.0  # real-clock autoscale observation throttle
 
         def fail_shard(state: _ShardState, reason: str) -> None:
+            if not state.alive:
+                return
             state.alive = False
             if state.process.is_alive():
                 state.process.terminate()
@@ -781,34 +818,42 @@ class ShardSupervisor:
             respawned = False
             if (not lane_live and lane_work
                     and counters["respawns"] < config.max_respawns):
-                replacement = spawn(state.lane, next_shard[state.lane])
+                spawn(state.lane, next_shard[state.lane])
                 next_shard[state.lane] += 1
                 counters["respawns"] += 1
-                respawned = True
-                del replacement  # released when its "ready" arrives
+                respawned = True  # released when its "ready" arrives
             failover_events.append(FailoverEvent(
                 lane=state.lane, shard=state.shard, time=detect,
                 reason=reason, seqs=seqs, respawned=respawned,
             ))
 
-        def handle(message) -> bool:
+        def send(state: _ShardState, message) -> bool:
+            """Send one message; a dead shard's broken pipe is its crash."""
+            try:
+                state.conn.send(message)
+            except ConnectionError:
+                fail_shard(state, "crash")
+                return False
+            return True
+
+        def release(state: _ShardState) -> None:
+            if send(state, ("go", now())):
+                state.released = True
+                state.last_beat = time.perf_counter()
+
+        def handle(state: _ShardState, message) -> bool:
             """Apply one child message; True if it was progress."""
             kind = message[0]
             if kind == "beat":
-                self._state_of(
-                    shards, message[1], message[2]
-                ).last_beat = time.perf_counter()
+                state.last_beat = time.perf_counter()
                 return False
             if kind == "ready":  # a respawned or scaled-up shard came up
-                state = self._state_of(shards, message[1], message[2])
                 state.ready = True
-                state.inbox.put(("go", now()))
-                state.released = True
-                state.last_beat = time.perf_counter()
+                if not state.draining:
+                    release(state)
                 return True
             if kind == "ack":
-                _, lane, shard, seq, record = message
-                state = self._state_of(shards, lane, shard)
+                _, seq, record = message
                 state.last_beat = time.perf_counter()
                 if seq in resolved:
                     return False  # duplicate of a retried request
@@ -824,25 +869,60 @@ class ShardSupervisor:
                 state.records[seq] = record
                 return True
             if kind == "done":
-                state = self._state_of(shards, message[1], message[2])
                 state.done = True
-                state.tail = message[3]
+                state.tail = message[1]
                 return True
             return False
 
+        def receive(state: _ShardState) -> None:
+            """Apply everything waiting on a woken shard's pipe; its
+            end-of-file or process exit before "done" is a crash."""
+            nonlocal last_progress
+            try:
+                while state.alive and not state.done and state.conn.poll():
+                    if handle(state, state.conn.recv()):
+                        last_progress = now()
+            except (EOFError, ConnectionError):
+                gone = True
+            else:
+                gone = not state.process.is_alive()
+            if gone and state.alive and not state.done:
+                fail_shard(state, "crash")
+                last_progress = now()
+
+        def next_wake() -> float:
+            """Seconds to the nearest timed event, capped at the beat."""
+            current = now()
+            real = time.perf_counter()
+            wake = config.beat_interval
+            for entry in pending:
+                if entry.available > current:  # due-but-blocked waits
+                    wake = min(wake, entry.available - current)
+                deadline = getattr(entry.request, "deadline", None)
+                if deadline is not None:
+                    wake = min(wake, deadline - current)
+            for state in shards:
+                if not state.alive or state.done:
+                    continue
+                for entry in state.in_flight.values():
+                    wake = min(wake, entry.dispatch_time + ack_timeout - current)
+                if state.released:
+                    wake = min(
+                        wake,
+                        state.last_beat + config.heartbeat_timeout - real,
+                    )
+            if self.autoscaler is not None:
+                wake = min(wake, last_observe + config.beat_interval - real)
+            return max(wake, 0.0)
+
+        for state in list(shards):
+            release(state)
+
         # ---------------- the dispatch/monitor loop ---------------- #
         while pending or any(s.in_flight for s in shards):
-            try:
-                message = events.get(timeout=0.01)
-            except queue_module.Empty:
-                message = None
-            while message is not None:
-                if handle(message):
-                    last_progress = now()
-                try:
-                    message = events.get_nowait()
-                except queue_module.Empty:
-                    message = None
+            watched = [s for s in shards if s.alive and not s.done]
+            for state in _wait_shards(watched, next_wake()):
+                receive(state)
             current = now()
             pending, newly_shed = _shed_expired(pending, current)
             if newly_shed:
@@ -864,15 +944,11 @@ class ShardSupervisor:
                     pending.append(entry)
                     counters["retries"] += 1
                     last_progress = current
-            # Liveness: a dead process is a crash; heartbeat silence on
-            # a released shard is a stall — both fail over identically.
-            for state in shards:
-                if not state.alive or state.done:
-                    continue
-                if not state.process.is_alive():
-                    fail_shard(state, "crash")
-                    last_progress = now()
-                elif (state.released
+            # Liveness: heartbeat silence on a released shard is a
+            # stall, failed over exactly like a crash (which the wait
+            # above already caught as end-of-file or process exit).
+            for state in list(shards):
+                if (state.alive and not state.done and state.released
                         and time.perf_counter() - state.last_beat
                         > config.heartbeat_timeout):
                     # Real-clock silence: virtual jumps never trip this.
@@ -882,7 +958,7 @@ class ShardSupervisor:
             # slack on the real beat cadence.  Growth reuses the spawn
             # machinery without charging the respawn budget; shrink
             # marks the emptiest shard draining and sends its sentinel
-            # — the FIFO inbox guarantees earlier dispatches are served
+            # — the FIFO pipe guarantees earlier dispatches are served
             # and acked before the child retires.
             if (self.autoscaler is not None
                     and time.perf_counter() - last_observe
@@ -924,7 +1000,7 @@ class ShardSupervisor:
                             )
                             victims.remove(victim)
                             victim.draining = True
-                            victim.inbox.put(None)
+                            send(victim, None)
             # A lane with work but no shards left: explicit total loss.
             # An autoscaled fleet self-heals instead — the policy clamp
             # restores the lane to min_shards on the next observation,
@@ -957,10 +1033,10 @@ class ShardSupervisor:
                 earliest = min(e.available for e in pending)
                 if earliest > now():
                     delta = earliest - now()
-                    offset[0] += delta
-                    for state in shards:
+                    offset += delta
+                    for state in list(shards):
                         if state.alive and state.released and not state.done:
-                            state.inbox.put(("skip", delta))
+                            send(state, ("skip", delta))
                     last_progress = now()
             # Dispatch: deadline order, to the emptiest shard (credit =
             # capacity minus unacknowledged dispatches on that shard).
@@ -981,10 +1057,11 @@ class ShardSupervisor:
                 target = min(
                     candidates, key=lambda s: (len(s.in_flight), s.shard)
                 )
+                if not send(target, entry.seq):
+                    continue  # stays pending; the shard was failed over
                 pending.remove(entry)
                 entry.dispatch_time = current
                 target.in_flight[entry.seq] = entry
-                target.inbox.put((entry.seq, entry.request))
                 last_progress = current
             if now() - last_progress > config.drain_timeout:
                 unresolved = sorted(
@@ -998,22 +1075,21 @@ class ShardSupervisor:
                     lost=unresolved,
                 )
 
-        # Retire: sentinel every live shard, collect their tails.
-        for state in shards:
+        # Retire: sentinel every live shard, collect their tails.  A
+        # shard that died after its last ack is a crash with nothing to
+        # re-dispatch, whether the sentinel's send or the wait finds it.
+        for state in list(shards):
             if state.alive and not state.done:
-                state.inbox.put(None)
+                state.draining = True
+                send(state, None)
         drain_deadline = time.perf_counter() + min(config.drain_timeout, 60)
-        while (any(s.alive and not s.done for s in shards)
-               and time.perf_counter() < drain_deadline):
-            for state in shards:
-                if state.alive and not state.done \
-                        and not state.process.is_alive():
-                    state.alive = False  # died after its last ack
-            try:
-                message = events.get(timeout=0.05)
-            except queue_module.Empty:
-                continue
-            handle(message)
+        while True:
+            watched = [s for s in shards if s.alive and not s.done]
+            remaining = drain_deadline - time.perf_counter()
+            if not watched or remaining <= 0:
+                break
+            for state in _wait_shards(watched, remaining):
+                receive(state)
 
         from .serving import _ShardOutcome
 
@@ -1046,14 +1122,6 @@ class ShardSupervisor:
         )
 
     # ---------------------------------------------------------------- #
-    @staticmethod
-    def _state_of(shards: List[_ShardState], lane: str,
-                  shard: int) -> _ShardState:
-        for state in shards:
-            if state.lane == lane and state.shard == shard:
-                return state
-        raise KeyError(f"unknown shard {lane}/{shard}")
-
     @staticmethod
     def _retract(pending: List[_PendingEntry], shards: List[_ShardState],
                  seq: int) -> Optional[_PendingEntry]:

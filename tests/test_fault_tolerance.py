@@ -7,8 +7,9 @@ serial run, and every recovery must be *accounted* — failover/retry
 counters exact, shed requests named, nothing silently dropped and
 nothing hung.  The inline discrete-event backend makes the whole thing
 deterministic (FakeClock virtual time), so every scenario here is
-replayable; the process-backend chaos test exercises the same plan
-against real crashing processes under a watchdog.
+replayable; the process-backend tests fire kills, stalls, dropped acks
+and seeded plans at real shard processes, and check the pipe transport
+itself (no busy-waiting, sends to dead shards), under a watchdog.
 
 CI hooks (mirroring the churn-fuzz harness):
 
@@ -19,13 +20,18 @@ CI hooks (mirroring the churn-fuzz harness):
   as an artifact (replayable via ``FaultPlan.load``).
 """
 
+import multiprocessing
 import os
+import resource
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.sad_kernel import get_kernel
+from repro.runtime import serving as serving_module
+from repro.runtime import supervision
 from repro.runtime import (
     ClipRequest,
     DuplicateRequestError,
@@ -116,6 +122,39 @@ def _serve_faulted(spec, requests, plan, supervisor=None, capacity=2,
         )),
     )
     return runtime.serve(requests)
+
+
+def _within_watchdog(serve, timeout=240):
+    """Run ``serve()`` on a daemon thread; a hang fails, errors re-raise."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = serve()
+        except BaseException as error:  # noqa: BLE001 — re-raised below
+            outcome["error"] = error
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert not thread.is_alive(), "supervised process serve hung"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def _process_runtime(spec, supervisor, plan=None, virtual_time=False):
+    """Two supervised shard processes, shared admission, capacity 2."""
+    return ServingRuntime(
+        spec,
+        ServerConfig(max_batch=2,
+        serve_workers=2,
+        shard_backend="process",
+        admission="shared",
+        fault_plan=plan,
+        virtual_time=virtual_time,
+        supervisor=supervisor),
+    )
 
 
 def _assert_identical_by_id(report, requests, serial):
@@ -300,6 +339,40 @@ class TestSeededChaosFuzz:
         _assert_recovery_accounted(report)
         _assert_identical_by_id(report, requests, serial)
 
+    @pytest.mark.parametrize("seed", _chaos_seeds())
+    def test_chaos_on_processes(self, seed, spec, clips, serial_result):
+        """The same seeded plan shape against real shard processes: a
+        kill is ``os._exit``, a stall a literal sleep past
+        ``heartbeat_timeout``, a dropped ack a real retry.  How many
+        failovers and retries follow depends on timing, so only
+        completion, accounting and bit identity are asserted."""
+        plan = FaultPlan.seeded(
+            seed, shards_per_lane=2, horizon=0.1,
+            kills=1, stalls=1, drops=1, stall_seconds=2.0,
+        )
+        trace_dir = os.environ.get("REPRO_CHAOS_TRACE_DIR")
+        if trace_dir:
+            os.makedirs(trace_dir, exist_ok=True)
+            plan.dump(os.path.join(
+                trace_dir, f"chaos_seed{seed}_process.json"
+            ))
+        requests = _requests(clips)
+        runtime = _process_runtime(
+            spec,
+            SupervisorConfig(
+                heartbeat_timeout=1.0, ack_timeout=1.0, max_respawns=2,
+                drain_timeout=60.0,
+            ),
+            plan,
+        )
+        report = _within_watchdog(lambda: runtime.serve(requests))
+        assert len(report.records) == len(clips), (
+            f"seed {seed}: {len(clips) - len(report.records)} request(s) "
+            f"lost (plan: {plan.to_json()})"
+        )
+        _assert_recovery_accounted(report)
+        _assert_identical_by_id(report, requests, serial_result)
+
     def test_seeded_plans_are_reproducible(self, tmp_path):
         plan = FaultPlan.seeded(42, shards_per_lane=2, horizon=0.5)
         assert plan == FaultPlan.seeded(42, shards_per_lane=2, horizon=0.5)
@@ -320,8 +393,8 @@ class TestSeededChaosFuzz:
 
 
 class TestProcessChaos:
-    """The acceptance demo: kill one of two real shard processes mid-
-    trace; every request completes bit-identically, the failover is
+    """The acceptance demo: fault one of two real shard processes mid-
+    trace; every request completes bit-identically, the recovery is
     accounted exactly, and the serve cannot hang (watchdog-bounded)."""
 
     def test_kill_one_process_shard(self, spec, clips, serial_result):
@@ -329,38 +402,190 @@ class TestProcessChaos:
             FaultEvent("kill", at=0.001, lane="default", shard=1),
         ))
         requests = _requests(clips, arrivals=[0.0] * len(clips))
-        runtime = ServingRuntime(
+        runtime = _process_runtime(
             spec,
-            ServerConfig(max_batch=2,
-            serve_workers=2,
-            shard_backend="process",
-            admission="shared",
-            fault_plan=plan,
-            supervisor=SupervisorConfig(
+            SupervisorConfig(
                 heartbeat_timeout=5.0, max_respawns=0, drain_timeout=60.0
-            )),
+            ),
+            plan,
         )
-        outcome = {}
-
-        def run():
-            try:
-                outcome["report"] = runtime.serve(requests)
-            except BaseException as error:  # noqa: BLE001 — re-raised below
-                outcome["error"] = error
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        thread.join(timeout=240)
-        assert not thread.is_alive(), "supervised chaos serve hung"
-        if "error" in outcome:
-            raise outcome["error"]
-        report = outcome["report"]
+        report = _within_watchdog(lambda: runtime.serve(requests))
         assert len(report.records) == len(clips)
         assert report.failover_events, "the kill was never detected"
         assert {(e.lane, e.shard, e.reason) for e in report.failover_events} \
             == {("default", 1, "crash")}
         _assert_recovery_accounted(report)
         assert report.outcome_counts().get("failover", 0) == report.failovers
+        _assert_identical_by_id(report, requests, serial_result)
+
+    def test_long_stall_fails_over_as_stall(self, spec, clips, serial_result):
+        """A real sleep past heartbeat_timeout is failed over as a stall:
+        the silent shard is terminated, its work re-dispatched."""
+        plan = FaultPlan(events=(
+            FaultEvent("stall", at=0.001, lane="default", shard=1,
+                       seconds=20.0),
+        ))
+        requests = _requests(clips, arrivals=[0.0] * len(clips))
+        runtime = _process_runtime(
+            spec,
+            SupervisorConfig(
+                heartbeat_timeout=1.0, max_respawns=0, drain_timeout=60.0
+            ),
+            plan,
+        )
+        report = _within_watchdog(lambda: runtime.serve(requests))
+        assert len(report.records) == len(clips)
+        assert [(e.lane, e.shard, e.reason)
+                for e in report.failover_events] == [("default", 1, "stall")]
+        assert report.retries == 0
+        _assert_recovery_accounted(report)
+        assert report.outcome_counts().get("failover", 0) == report.failovers
+        _assert_identical_by_id(report, requests, serial_result)
+
+    def test_dropped_ack_is_retried(self, spec, clips, serial_result):
+        """A real shard swallows one ack: the parent retries that request
+        after ack_timeout and nothing is failed over."""
+        plan = FaultPlan(events=(
+            FaultEvent("drop_ack", at=0.0, lane="default", shard=0),
+        ))
+        requests = _requests(clips, arrivals=[0.0] * len(clips))
+        runtime = _process_runtime(
+            spec,
+            SupervisorConfig(
+                heartbeat_timeout=5.0, ack_timeout=2.0, max_respawns=0,
+                drain_timeout=60.0,
+            ),
+            plan,
+        )
+        report = _within_watchdog(lambda: runtime.serve(requests))
+        assert report.retries == 1
+        assert report.failovers == 0
+        assert not report.failover_events
+        assert report.outcome_counts() == {"served": 7, "retried": 1}
+        _assert_identical_by_id(report, requests, serial_result)
+
+
+class _KillPeerBefore:
+    """The parent end of one shard's pipe, wrapped so the shard process
+    is SIGKILLed (and reaped) just before a chosen message is sent: the
+    send then meets a dead peer, deterministically."""
+
+    def __init__(self, conn, shard_name, trigger):
+        self._conn = conn
+        self._shard_name = shard_name
+        self._trigger = trigger
+
+    def send(self, message):
+        if self._trigger(message):
+            for process in multiprocessing.active_children():
+                if process.name == self._shard_name:
+                    process.kill()
+                    process.join(timeout=10)
+        self._conn.send(message)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class TestProcessTransport:
+    """The pipe transport itself: no busy-waiting, and a send to a shard
+    that already died is that shard's crash, never an error."""
+
+    def test_parent_does_not_spin(self, spec, clips, monkeypatch):
+        """A due backlog blocked on credit, then a sparse real-clock
+        trace: the parent sleeps between events instead of polling.
+
+        The CPU bound catches a loop that never sleeps; the count of
+        zero-timeout waits also catches one that spins only while the
+        backlog waits for credit (a phase too short to move the CPU)."""
+        workload = clips + synthetic_workload(3, num_frames=6, base_seed=59)
+        arrivals = [0.0] * len(clips) + [0.6, 1.2, 1.8]
+        requests = _requests(workload, arrivals=arrivals)
+        runtime = _process_runtime(
+            spec, SupervisorConfig(heartbeat_timeout=5.0, max_respawns=0)
+        )
+        timeouts = []
+        real_wait = supervision._wait_shards
+
+        def counted_wait(states, timeout):
+            timeouts.append(timeout)
+            return real_wait(states, timeout)
+
+        monkeypatch.setattr(supervision, "_wait_shards", counted_wait)
+
+        def parent_cpu():
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            return usage.ru_utime + usage.ru_stime
+
+        def timed():
+            cpu = parent_cpu()
+            wall = time.perf_counter()
+            report = runtime.serve(requests)
+            return report, parent_cpu() - cpu, time.perf_counter() - wall
+
+        report, cpu, wall = _within_watchdog(timed)
+        assert len(report.records) == len(requests)
+        assert wall > 1.8
+        assert cpu < 0.5 * wall, (
+            f"parent burned {cpu:.2f}s CPU in a {wall:.2f}s serve"
+        )
+        spins = sum(timeout == 0 for timeout in timeouts)
+        assert spins <= 10, f"{spins} of {len(timeouts)} waits never slept"
+        _assert_identical_by_id(
+            report, requests, run_workload(spec, workload, batch=False)
+        )
+
+    def test_shard_dying_while_building_raises(self, spec, clips,
+                                               monkeypatch):
+        """A shard that dies before reporting ready is a systemic
+        failure (its siblings share the spec): raised by name, with the
+        exit code, before anything is dispatched."""
+        runtime = _process_runtime(spec, SupervisorConfig(max_respawns=0))
+
+        def die_building(*args, **kwargs):
+            os._exit(3)
+
+        monkeypatch.setattr(serving_module, "LaneWorker", die_building)
+        with pytest.raises(ShardCrashError, match="building.*exit code 3"):
+            _within_watchdog(lambda: runtime.serve(_requests(clips[:2])))
+
+    @pytest.mark.parametrize("trigger", ["retire", "skip"])
+    def test_send_to_dead_shard_is_a_crash(self, spec, clips, serial_result,
+                                           monkeypatch, trigger):
+        """Shard 1 dies right before the parent's retire sentinel (or a
+        virtual-time skip broadcast) reaches it: serve() returns, the
+        death is recorded as a crash with nothing to re-dispatch."""
+        if trigger == "retire":
+            arrivals = [0.0, 0.0]
+            wanted = lambda message: message is None  # noqa: E731
+        else:
+            arrivals = [0.0, 50.0]  # shard 1 idles; the gap is jumped
+            wanted = lambda message: (  # noqa: E731
+                isinstance(message, tuple) and message[0] == "skip"
+            )
+        real_pipe = multiprocessing.Pipe
+        made = []
+
+        def pipe():
+            parent, child = real_pipe()
+            made.append(parent)
+            if len(made) == 2:  # shard 1's pipe: spawned second
+                parent = _KillPeerBefore(parent, "shard default/1", wanted)
+            return parent, child
+
+        monkeypatch.setattr(multiprocessing, "Pipe", pipe)
+        requests = _requests(clips[:2], arrivals=arrivals)
+        runtime = _process_runtime(
+            spec, SupervisorConfig(heartbeat_timeout=5.0, max_respawns=0),
+            virtual_time=trigger == "skip",
+        )
+        report = _within_watchdog(lambda: runtime.serve(requests))
+        assert len(made) == 2
+        assert len(report.records) == 2
+        assert [(e.shard, e.reason, e.seqs, e.respawned)
+                for e in report.failover_events] == [(1, "crash", (), False)]
+        assert report.failovers == 0
+        _assert_recovery_accounted(report)
         _assert_identical_by_id(report, requests, serial_result)
 
 

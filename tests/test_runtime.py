@@ -347,7 +347,7 @@ class TestSingleBlasThread:
 
         monkeypatch.setattr(serving_module, "LaneWorker", PoolProbe)
         task = SupervisedShardTask(
-            lane="a", shard=0, spec=spec, capacity=2, inbox=None, events=None
+            lane="a", shard=0, spec=spec, capacity=2, conn=None, requests={}
         )
         child = context.Process(target=_run_supervised_shard, args=(task,))
         child.start()
