@@ -68,9 +68,8 @@ def normalized_metrics(data: dict) -> Dict[str, float]:
     Absolute frames/sec are machine-dependent, so only ratios that
     survive a hardware change are compared: per-path speedups vs the
     seed loop (runtime), and serving's headline ratios (vs static
-    lockstep, shard scaling, the shared-admission p99 tail-latency
-    speedup, chaos retention, autoscaling, the prefix service and the
-    quantized lane).  Every metric is higher-is-better.
+    lockstep, shard scaling, chaos retention, autoscaling, the prefix
+    service and the quantized lane).  Every metric is higher-is-better.
     """
     if "paths" in data:  # BENCH_runtime.json
         metrics = {
@@ -85,8 +84,6 @@ def normalized_metrics(data: dict) -> Dict[str, float]:
         metrics = {"serving (x static lockstep)": data["serving_vs_static"]}
         optional = {
             "shard_scaling_2x": "2-shard serving (x 1 worker)",
-            "admission_p99_speedup":
-                "shared-admission p99 TTFF speedup (x static)",
             "chaos_p99_retention":
                 "chaos p99 TTFF retention (x fault-free)",
             "autoscale_p99_speedup":

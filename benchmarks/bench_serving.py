@@ -20,24 +20,20 @@ reported for the trajectory record.
 The second headline is **shard scaling**: serving the same two-lane
 Poisson workload with ``serve_workers=2`` (one shard per lane, each with
 its own executors and inference plan) must deliver **>= 1.5x** the
-aggregate throughput of the single-process run.  Aggregate sharded
-throughput follows the concurrent-deployment model the report defines:
-total frames divided by the slowest shard's busy seconds.  The
-measurement pins the inline (``serial``) backend, so each shard's busy
-time is uncontended and the ratio is comparable across hosts regardless
-of core count — exactly what the perf gate's committed-vs-fresh
-comparison needs.  The real process pool is exercised by the tier-1
-sharded-identity tests and CI's ``--serve-workers 2`` CLI smoke; on
-enough cores it realizes this same concurrent-model number as elapsed
-time.  Every clip of the sharded run is asserted bit-identical to its
-serial run, same as the single-process path.
+aggregate throughput of the single-process run.  The number is a
+busy-time *model*, not a wall-clock measurement: the sharded run pins
+the inline (``serial``) backend, whose discrete-event loop times each
+shard's steps uncontended on its own virtual clock, and aggregate
+throughput is total frames divided by the slowest shard's busy seconds.
+That keeps the ratio comparable across hosts regardless of core count —
+what the perf gate's committed-vs-fresh comparison needs.  Real shard
+processes are measured by ``perfbench`` (``serve_sharded``) and
+exercised by the tier-1 sharded-identity tests and CI's
+``--serve-workers 2`` CLI smoke.  Every clip of the sharded run is
+asserted bit-identical to its serial run, same as the single-process
+path.
 
-The third headline guards the shared-admission scheduler: **tail
-latency under skew** — with long and short clips interleaved across 2
-shards, shared-admission (work stealing) p99 time-to-first-frame must
-not exceed static round-robin's.
-
-The fourth headline is **chaos failover**: one of two *real* shard
+The third headline is **chaos failover**: one of two *real* shard
 processes is killed mid-trace under burst load.  The supervisor must
 detect the crash, fail its unacknowledged requests over to the survivor
 — every completed request bit-identical to its serial run, the failover
@@ -46,7 +42,7 @@ The tracked ratio is p99 TTFF *retention* (fault-free p99 over chaos
 p99, clamped at 1.0): how much of the tail survives losing half the
 fleet.
 
-The fifth headline is **autoscaling under bursts**: whole bursts of
+The fourth headline is **autoscaling under bursts**: whole bursts of
 requests land at once with idle lulls between them — the regime where a
 fixed fleet either over-provisions the lulls or drowns in the bursts.
 An autoscaled lane (1→4 shards, scale decisions from observed admission
@@ -55,13 +51,13 @@ depth) must beat the fixed 2-shard fleet on p99 time-to-first-frame by
 run regardless of when shards scaled, and the fleet asserted to have
 actually reached 4 shards.
 
-The sixth headline is **virtual-time admission**: the same supervised
+The fifth headline is **virtual-time admission**: the same supervised
 process backend, but the parent releases arrivals by logical timestamps
 instead of real sleeps — a ~60-second simulated trace must complete in
 **well under half** its simulated duration (the gated metric is the
 real-vs-simulated speedup, capped so faster hosts don't inflate it).
 
-The seventh headline is **the prefix service**: two lanes serving the
+The sixth headline is **the prefix service**: two lanes serving the
 same repeated-scene clips with every frame a key frame — the regime
 where per-lane execution runs one CNN prefix call per lane per step and
 recomputes identical pixels over and over.  With cross-lane coalescing
@@ -70,7 +66,7 @@ and the content-addressed prefix cache on, throughput must reach
 one fused batch executed, a substantial cache hit rate, and every
 served clip still bit-identical to its serial run on both sides.
 
-The eighth headline is **the quantized inference lane**: the same
+The seventh headline is **the quantized inference lane**: the same
 16-clip workload with every frame a key frame, served by the int8
 planned lane vs the float32 lane.  All-key-frames is the CNN-bound
 regime — under the default match-error policy both lanes share the same
@@ -119,11 +115,6 @@ FRAMES_PER_CLIP = 16
 THROUGHPUT_FLOOR = 0.80
 #: sharding bar: 2-shard aggregate throughput vs the single-process run.
 SHARD_SCALING_FLOOR = 1.5
-#: skew bar noise allowance: shared-admission p99 TTFF must beat static
-#: round-robin's (measured ~1.5-1.6x better), but both sides are real
-#: measured step durations, so a tie within 5% jitter on a loaded
-#: runner must not read as a regression.
-SKEW_P99_TOLERANCE = 1.05
 #: chaos bar: p99 TTFF retention after losing 1 of 2 process shards
 #: mid-trace (fault-free p99 / chaos p99, clamped at 1.0).  The real
 #: bound under test is bit identity + exact failover accounting + no
@@ -165,8 +156,6 @@ _JSON_KEYS = (
     "serving_vs_static", "mean_occupancy", "latency_ms",
     "identical_to_serial", "shard_workload", "single_process_fps",
     "sharded_fps", "shard_scaling_2x",
-    "skew_workload", "static_p99_ttff_ms", "shared_p99_ttff_ms",
-    "admission_p99_speedup",
     "chaos_workload", "fault_free_p99_ttff_ms", "chaos_p99_ttff_ms",
     "chaos_p99_retention", "chaos_failovers", "autoscale_workload",
     "fixed2_p99_ttff_ms", "autoscale_p99_ttff_ms", "autoscale_p99_speedup",
@@ -299,8 +288,15 @@ def test_shard_scaling_two_lanes(spec):
     the shared frame shape stays unambiguous) carry a balanced Poisson
     workload.  ``serve_workers=1`` interleaves both lanes in one
     process; ``serve_workers=2`` gives each lane its own shard — own
-    executors, own inference plan — on the config-resolved pool
-    backend.  Identity is asserted for every served clip in both shapes.
+    executors, own inference plan — on the inline backend.  Identity is
+    asserted for every served clip in both shapes.
+
+    The ratio is a busy-time *model*: the inline shards run under the
+    discrete-event loop, each on its own virtual clock, and the sharded
+    throughput divides total frames by the slowest shard's busy
+    seconds.  It leaves out idle time, transport and shared cores, so
+    it is not a measured wall-clock speedup (``perfbench`` measures
+    real shard processes).
     """
     num_requests = 24
     frames = 12
@@ -323,12 +319,11 @@ def test_shard_scaling_two_lanes(spec):
         (single_runtime.serve(requests) for _ in range(2)),
         key=lambda r: r.frames_per_second,
     )
-    # The scaling *measurement* pins the inline backend: each shard's
-    # busy time is measured uncontended, so the number is comparable
-    # across hosts with any core count — which is what the perf gate's
-    # committed-vs-fresh comparison needs.  The real process pool is
-    # exercised separately (tests/test_serving.py and the CI CLI smoke);
-    # on enough cores it realizes this same concurrent-model number.
+    # The scaling model pins the inline backend: each shard's busy time
+    # is timed uncontended, so the number is comparable across hosts
+    # with any core count — which is what the perf gate's
+    # committed-vs-fresh comparison needs.  Real shard processes are
+    # exercised separately (tests/test_serving.py and the CI CLI smoke).
     sharded_runtime = ServingRuntime(
         lanes, ServerConfig(max_batch=8, serve_workers=2, shard_backend="serial")
     )
@@ -384,92 +379,6 @@ def test_shard_scaling_two_lanes(spec):
     assert scaling >= SHARD_SCALING_FLOOR, (
         f"2-shard serving is {scaling:.2f}x the single-process run; "
         f"the sharding bar is {SHARD_SCALING_FLOOR:.2f}x"
-    )
-
-
-def test_skewed_admission_tail_latency(spec):
-    """Shared-admission p99 TTFF must not exceed static round-robin's.
-
-    The skewed workload interleaves 16-frame and 2-frame clips arriving
-    together, so static round-robin (requests alternate in arrival
-    order) pins every long clip onto shard 0 while shard 1 burns through
-    its shorts and idles.  A shared per-lane admission queue lets the
-    idle shard steal the pending longs — time-to-first-frame tails
-    collapse.  Both runs use the inline backend's concurrent-shard
-    timeline (static: independent per-shard clocks; shared: the
-    discrete-event loop over per-shard virtual clocks), so the p99s are
-    directly comparable, and every served clip is asserted bit-identical
-    to its serial run in both modes.
-    """
-    longs = synthetic_workload(12, num_frames=16, base_seed=31)
-    shorts = synthetic_workload(12, num_frames=2, base_seed=57)
-    clips = [clip for pair in zip(longs, shorts) for clip in pair]
-    serial = run_workload(spec, clips, batch=False)
-    requests = [
-        ClipRequest(request_id=i, clip=clip) for i, clip in enumerate(clips)
-    ]
-
-    static_runtime = ServingRuntime(
-        spec, ServerConfig(max_batch=4, serve_workers=2, shard_backend="serial")
-    )
-    shared_runtime = ServingRuntime(
-        spec, ServerConfig(max_batch=4, serve_workers=2, shard_backend="serial",
-        admission="shared"),
-    )
-    static = min(
-        (static_runtime.serve(requests) for _ in range(2)),
-        key=lambda r: r.latency_percentiles()["ttff_p99"],
-    )
-    shared = min(
-        (shared_runtime.serve(requests) for _ in range(2)),
-        key=lambda r: r.latency_percentiles()["ttff_p99"],
-    )
-
-    for report in (static, shared):
-        served = report.workload_result()
-        assert served.matches(serial), "skewed serving diverged from serial"
-
-    static_p99 = static.latency_percentiles()["ttff_p99"]
-    shared_p99 = shared.latency_percentiles()["ttff_p99"]
-    speedup = static_p99 / shared_p99 if shared_p99 else 1.0
-    register_table(
-        f"skewed-arrival tail latency ({len(clips)} requests, 12 long + "
-        f"12 short, 2 shards, {NETWORK})",
-        ["quantity", "static", "shared"],
-        [
-            [
-                "ttff p99 ms",
-                round(static_p99 * 1e3, 2),
-                round(shared_p99 * 1e3, 2),
-            ],
-            [
-                "ttff p50 ms",
-                round(static.latency_percentiles()["ttff_p50"] * 1e3, 2),
-                round(shared.latency_percentiles()["ttff_p50"] * 1e3, 2),
-            ],
-            ["p99 speedup", "-", f"{speedup:.2f}x"],
-            ["identical to serial", "yes", "yes"],
-        ],
-    )
-    _RESULTS.update(
-        {
-            "skew_workload": {
-                "requests": len(clips),
-                "long_frames": 16,
-                "short_frames": 2,
-                "max_batch": 4,
-                "serve_workers": 2,
-            },
-            "static_p99_ttff_ms": round(static_p99 * 1e3, 3),
-            "shared_p99_ttff_ms": round(shared_p99 * 1e3, 3),
-            "admission_p99_speedup": round(speedup, 3),
-        }
-    )
-    _write_json()
-
-    assert shared_p99 <= static_p99 * SKEW_P99_TOLERANCE, (
-        f"shared-admission p99 TTFF ({shared_p99 * 1e3:.2f} ms) exceeds "
-        f"static round-robin's ({static_p99 * 1e3:.2f} ms) under skew"
     )
 
 
@@ -932,7 +841,7 @@ def test_prefix_service_cross_lane_throughput():
 
 
 def test_quantized_lane_throughput_and_tolerance():
-    """The tenth headline: the int8 planned lane vs float32.
+    """The seventh headline: the int8 planned lane vs float32.
 
     Measured with ``policy="always"`` — every frame a key frame —
     because that is the CNN-bound regime.  Under the default match-error

@@ -13,10 +13,9 @@ hardware change:
   the perf curve relative to the seed loop on the same host);
 * ``BENCH_serving.json`` — ``serving_vs_static`` (continuous batching
   relative to static lockstep on the same host), ``shard_scaling_2x``
-  (2-shard aggregate throughput relative to the single-process run),
-  and ``admission_p99_speedup`` (static p99
-  time-to-first-frame divided by shared-admission p99 under skewed
-  traffic — the work-stealing headline; >= 1 means stealing is no worse).
+  (2-shard aggregate throughput relative to the single-process run, a
+  busy-time model), and the chaos, autoscaling, virtual-time, prefix
+  service and quantized-lane ratios (see ``_common.normalized_metrics``).
 
 A markdown speedup table is written to ``--summary`` (the
 ``$GITHUB_STEP_SUMMARY`` file in CI) and echoed to stdout.  Any metric

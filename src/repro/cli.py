@@ -235,13 +235,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             horizon=horizon,
         ).events)
     plan = FaultPlan(events=tuple(events), seed=args.fault_seed)
-    if plan and not args.autoscale and (
-            args.serve_workers < 2 or args.admission != "shared"):
+    if plan and not args.autoscale and args.serve_workers < 2:
         print(
-            "error: fault injection needs sharded shared-admission "
-            "serving (--serve-workers >= 2 --admission shared, or an "
-            "--autoscale fleet) so a surviving shard exists to fail "
-            "over to",
+            "error: fault injection needs sharded serving "
+            "(--serve-workers >= 2, or an --autoscale fleet) so a "
+            "surviving shard exists to fail over to",
             file=sys.stderr,
         )
         return 2
@@ -262,7 +260,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         serve_workers=args.serve_workers,
         shard_backend=args.shard_backend,
-        admission=args.admission,
         fault_plan=plan,
         supervisor=SupervisorConfig(
             heartbeat_timeout=args.heartbeat_timeout,
@@ -513,18 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["auto", "serial", "process"],
                           help="worker pool for sharded serving (auto picks "
                                "process when more than one core is usable)")
-    sharding.add_argument("--admission", default="static",
-                          choices=["static", "shared"],
-                          help="sharded request assignment: static "
-                               "round-robin slices, or one shared admission "
-                               "queue per lane so idle shards steal pending "
-                               "requests (better tail latency under skew)")
     sharding.add_argument("--autoscale", action="store_true",
                           help="grow/shrink each lane's shard fleet from "
                                "observed queue depth and deadline slack "
                                "between --min-shards and --max-shards "
-                               "(implies shared admission; served results "
-                               "stay bit-identical across scaling)")
+                               "(served results stay bit-identical across "
+                               "scaling)")
     sharding.add_argument("--min-shards", type=int, default=1,
                           help="autoscale floor per lane (default 1)")
     sharding.add_argument("--max-shards", type=int, default=4,
@@ -546,8 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--fault-seed", type=int, default=None,
                         help="inject a seeded chaos plan (kill/stall/"
                              "ack-drop) against the shards; needs "
-                             "--serve-workers >= 2 --admission shared "
-                             "(or --autoscale)")
+                             "--serve-workers >= 2 (or --autoscale)")
     faults.add_argument("--fault-horizon", type=float, default=0.0,
                         help="window (s) seeded faults land in "
                              "(default: up to the last arrival)")

@@ -21,9 +21,9 @@ per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
   split into a :class:`Router` front end (admission, shape bucketing,
   :class:`LaneRoutingError` rejections) and :class:`LaneWorker` back
   ends that run the stage graph — in-process, or sharded across worker
-  processes (plan-per-worker ownership); configured by one validated
-  :class:`ServerConfig` and dispatched through the :class:`Backend`
-  protocol; :class:`ServingReport` carries per-request
+  processes (plan-per-worker ownership) that share one admission queue
+  per lane; configured by one validated :class:`ServerConfig`;
+  :class:`ServingReport` carries per-request
   latency/throughput accounting with p50/p95/p99 tails and per-shard
   breakdowns.
 * :class:`FrontDoor` / :class:`RequestSource` — the elastic front
@@ -76,7 +76,6 @@ from .frontdoor import (
     AutoscaleDecision,
     AutoscalePolicy,
     Autoscaler,
-    Backend,
     BackpressureError,
     FrontDoor,
     IteratorSource,
@@ -137,7 +136,6 @@ __all__ = [
     "ShardCrashError",
     "ClipRequest",
     "ServerConfig",
-    "Backend",
     "FrontDoor",
     "RequestSource",
     "ListSource",

@@ -29,10 +29,7 @@ pieces that :class:`~repro.runtime.serving.ServingRuntime` composes:
   per lane and records every change as a :class:`ScaleEvent`; the DES
   and supervised-process backends both drive it.
 * :class:`ServerConfig` — the validated configuration object that
-  replaced ``ServingRuntime.__init__``'s keyword knobs, and
-  :class:`Backend` — the protocol all serve entrypoints implement, so
-  ``serve()`` dispatches on a resolved backend instead of branching
-  inline.
+  replaced ``ServingRuntime.__init__``'s keyword knobs.
 
 Scaling never changes results: the bit-identity contract (every served
 clip identical to its serial run) holds regardless of when shards were
@@ -44,7 +41,7 @@ from __future__ import annotations
 import asyncio
 import queue as queue_module
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -73,7 +70,6 @@ __all__ = [
     "AutoscalePolicy",
     "Autoscaler",
     "ServerConfig",
-    "Backend",
 ]
 
 
@@ -148,9 +144,8 @@ class ListSource(RequestSource):
     """The historical list path as one adapter.
 
     Pre-sorts ``(submission index, request)`` by ``(arrival_time,
-    submission index)`` — exactly :meth:`Router.partition`'s order — so
-    seqs remain submission positions and a report's ``records`` stay in
-    submission order.
+    submission index)``, so seqs remain submission positions and a
+    report's ``records`` stay in submission order.
     """
 
     def __init__(self, requests: Sequence):
@@ -301,15 +296,12 @@ class FrontDoor:
     ``max_pending`` and resumes when it drains to ``resume_pending``.
     Hysteresis means the door toggles once per excursion, not once per
     request; ``backpressure_pauses`` counts the excursions.
-
-    ``router=None`` (internal: a shard serving a preassigned slice)
-    skips validation and lane bookkeeping.
     """
 
     def __init__(
         self,
         source: RequestSource,
-        router=None,
+        router,
         max_pending: Optional[int] = None,
         resume_pending: Optional[int] = None,
     ):
@@ -327,7 +319,7 @@ class FrontDoor:
         self._seen: Dict[object, int] = {}
         self.pulled = 0
         self.backpressure_pauses = 0
-        if router is not None and isinstance(source, ListSource):
+        if isinstance(source, ListSource):
             # List traffic keeps the historical contract: every routing
             # or duplicate-id failure surfaces before serving starts.
             for position, request in enumerate(source.requests):
@@ -355,10 +347,9 @@ class FrontDoor:
             pair = self.source.pull()
             if pair is not None:
                 seq, request = pair
-                if self.router is not None:
-                    self.router.lane_for(request)  # reject before buffering
-                    if not isinstance(self.source, ListSource):
-                        self._check_duplicate(request, seq)
+                self.router.lane_for(request)  # reject before buffering
+                if not isinstance(self.source, ListSource):
+                    self._check_duplicate(request, seq)
                 self._peeked = pair
         return self._peeked
 
@@ -417,13 +408,14 @@ class FrontDoor:
         return out
 
     def drain_per_lane(self) -> Dict[str, List[Tuple[int, object]]]:
-        """Pull *everything* into per-lane lists (batch backends).
+        """Pull *everything* into per-lane lists (fixed sharded fleets).
 
-        The static-shard and supervised-process backends need the full
-        request set up front (slice assignment, shard-budget dealing),
-        so they drain the source — streaming traffic is consumed whole,
-        watermarks do not apply.  Source order is arrival order, which
-        is exactly :meth:`Router.partition`'s per-lane order.
+        Fixed shared-admission fleets need the full request set up
+        front (shard-budget dealing, and the supervisor's release
+        schedule), so they drain the source — streaming traffic is
+        consumed whole, watermarks do not apply.  Each lane's list is
+        in source order, which is arrival order (ties in submission
+        order).
         """
         per_lane: Dict[str, List[Tuple[int, object]]] = {
             name: [] for name in self.router.specs
@@ -640,10 +632,10 @@ class ServerConfig:
     #: shard pool backend: "serial", "process", or "auto" (process when
     #: more than one core is usable and more than one shard runs).
     shard_backend: str = "auto"
-    #: "static" round-robin slices or a "shared" per-lane queue.
-    #: Autoscaling requires the shared queue and coerces this field.
-    admission: str = "static"
-    #: deterministic fault injection (shared-admission backends only).
+    #: sharded request assignment; "shared" (one admission queue per
+    #: lane) is the only mode, and any other value raises.
+    admission: str = "shared"
+    #: deterministic fault injection (sharded serving only).
     fault_plan: FaultPlan = None  # normalized to FaultPlan() below
     #: failure detection / recovery knobs.
     supervisor: SupervisorConfig = None  # normalized below
@@ -684,10 +676,15 @@ class ServerConfig:
             raise ValueError(
                 f"serve_workers must be >= 1, got {self.serve_workers}"
             )
-        if self.admission not in ("static", "shared"):
+        if self.admission == "static":
             raise ValueError(
-                f"admission must be 'static' or 'shared', got "
-                f"{self.admission!r}"
+                "static admission was removed: every sharded serve "
+                "uses one shared admission queue per lane "
+                "(admission='shared')"
+            )
+        if self.admission != "shared":
+            raise ValueError(
+                f"admission must be 'shared', got {self.admission!r}"
             )
         if self.shard_backend not in _SHARD_BACKENDS:
             raise ValueError(
@@ -701,11 +698,6 @@ class ServerConfig:
             object.__setattr__(self, "fault_plan", FaultPlan())
         if self.supervisor is None:
             object.__setattr__(self, "supervisor", SupervisorConfig())
-        if self.autoscale is not None and self.admission == "static":
-            # Static slices are fixed at dispatch time, so an elastic
-            # pool is meaningless there; autoscaling implies the shared
-            # per-lane queue.
-            object.__setattr__(self, "admission", "shared")
         object.__setattr__(self, "prefix_coalesce",
                            bool(self.prefix_coalesce))
         object.__setattr__(self, "prefix_cache_mb",
@@ -762,34 +754,3 @@ class ServerConfig:
         """Whether this config serves through shard workers at all."""
         return self.serve_workers > 1 or self.autoscale is not None
 
-
-# -------------------------------------------------------------------- #
-# the backend protocol
-# -------------------------------------------------------------------- #
-class Backend:
-    """One serve entrypoint: a strategy over a :class:`FrontDoor`.
-
-    ``ServingRuntime.serve()`` resolves exactly one backend from its
-    config and calls :meth:`serve` — the historical inline branching
-    (in-process loop vs static shards vs shared DES vs supervised
-    processes) now lives behind this protocol, and capabilities like
-    autoscaling or fault injection are backend properties rather than
-    more branches.
-    """
-
-    #: stable name, surfaced by ``ServingRuntime.resolve_backend()``.
-    name: str = "backend"
-    #: what this entrypoint supports (informational; config validation
-    #: happens in :class:`ServerConfig` / the runtime constructor).
-    capabilities: frozenset = frozenset()
-
-    def __init__(self, runtime):
-        self.runtime = runtime
-
-    def serve(self, door: FrontDoor):
-        """Serve everything the door yields; returns a ServingReport."""
-        raise NotImplementedError
-
-
-# re-exported for the runtime package namespace
-field = field  # noqa: F811 — keep dataclasses.field importable here

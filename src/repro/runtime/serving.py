@@ -22,13 +22,9 @@ The serving layer is split along the line a deployment would draw:
   ``serve_workers=1`` (default) runs every lane's worker in-process
   under one virtual clock — the continuous-batching behaviour of PR 3,
   bit-identical and within its throughput envelope.  ``serve_workers=N``
-  shards lanes across a process pool: each lane gets
-  ``ceil(N / num_lanes)`` shards.  ``admission="static"`` splits each
-  lane's requests round-robin in arrival order and every shard serves
-  its slice independently; ``admission="shared"`` keeps one admission
-  queue per lane that all of the lane's shards pull from, so an idle
-  shard *steals* the next pending request — the tail-latency fix for
-  skewed traffic.
+  shards lanes: the shard budget is dealt across lanes, and each lane
+  keeps one admission queue that all of its shards pull from, so an
+  idle shard *steals* the next pending request.
 
 Continuous batching semantics are unchanged from PR 3: requests wait in
 per-lane FIFO queues and join the running batch at step boundaries; a
@@ -52,9 +48,8 @@ Failure domains (see :mod:`repro.runtime.supervision` and
 ARCHITECTURE.md): requests may carry a ``deadline`` — queued past it
 they are *shed* with an explicit
 :class:`~repro.runtime.supervision.ShedRecord`, and admission among
-waiting requests is earliest-deadline-first on every path.  The
-shared-admission backends are additionally *supervised*: the process
-backend runs under a
+waiting requests is earliest-deadline-first on every path.  Sharded
+serving is *supervised*: the process backend runs under a
 :class:`~repro.runtime.supervision.ShardSupervisor` (heartbeats, acks,
 failover, bounded respawn), the inline DES loop simulates the same
 supervisor against virtual clocks, and both honour a deterministic
@@ -70,16 +65,13 @@ ingestion is bounded by queue-depth watermarks
 an :class:`~repro.runtime.frontdoor.AutoscalePolicy` can grow and
 shrink a lane's shard pool from observed queue depth and deadline
 slack, and configuration lives in one validated
-:class:`~repro.runtime.frontdoor.ServerConfig`.  ``serve()`` dispatches on a
-resolved :class:`~repro.runtime.frontdoor.Backend` — in-process loop,
-static shards, or shared admission — instead of branching inline.
+:class:`~repro.runtime.frontdoor.ServerConfig`.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
@@ -105,10 +97,7 @@ from ..video.generator import VideoClip
 from .batched import WorkloadResult
 from .frontdoor import (
     Autoscaler,
-    Backend,
     FrontDoor,
-    ListSource,
-    RequestSource,
     ScaleEvent,
     ServerConfig,
     as_request_source,
@@ -134,7 +123,6 @@ __all__ = [
     "ServingReport",
     "ServingRuntime",
     "ServerConfig",
-    "Backend",
     "Router",
     "LaneWorker",
     "LaneRoutingError",
@@ -322,9 +310,6 @@ class ServingReport:
     serve_workers: int = 1
     #: per-shard accounting (empty for in-process runs).
     shards: List[ShardInfo] = field(default_factory=list)
-    #: how sharded requests were assigned: "static" round-robin slices
-    #: or a "shared" per-lane admission queue (work stealing).
-    admission: str = "static"
     #: requests dropped because their deadline passed while queued —
     #: explicit rejections, never silent.  ``records`` holds completed
     #: requests only; every submission is exactly one of the two.
@@ -480,8 +465,6 @@ class ServingReport:
             ["mean occupancy", round(self.mean_occupancy, 2)],
             ["serve workers", self.serve_workers],
         ]
-        if self.serve_workers > 1:
-            rows.append(["admission", self.admission])
         for name in sorted(self.lane_dtypes):
             if self.lane_dtypes[name] == "float64":
                 continue
@@ -614,7 +597,8 @@ class LaneWorker:
         #: ``finish_step``.
         self._round = None
         self.residents: List[Optional[_Resident]] = [None] * capacity
-        self.queue: "deque[Tuple[int, ClipRequest]]" = deque()
+        #: admission queue, admitted earliest-deadline-first.
+        self.queue: List[_PendingEntry] = []
 
     # -------------------------------------------------------------- #
     @property
@@ -703,46 +687,6 @@ class LaneWorker:
                 finished.append(resident)
         return finished
 
-    def serve_shard(
-        self,
-        assigned: Sequence[Tuple[int, ClipRequest]],
-        clock: Optional[Callable[[], float]] = None,
-    ) -> "_ShardOutcome":
-        """Run the full serve loop for this shard's slice of traffic.
-
-        The single-worker form of the loop :class:`ServingRuntime` runs
-        across all in-process workers: same admission discipline, same
-        virtual-time idle skipping, on this shard's own clock.
-        """
-        clock = clock or time.perf_counter
-        if self.prefix_service is not None:
-            self.prefix_service.reset_stats()
-        # Router-less pair door: seqs are preassigned by the parent, so
-        # the shard replays its slice without validation or watermarks.
-        door = FrontDoor(_PairSource(assigned))
-        done, wall, idle, steps, shed = _serve_loop(
-            [self], lambda request: self, door, clock,
-            prefix_service=self.prefix_service,
-        )
-        prefix = (
-            self.prefix_service.stats if self.prefix_service is not None
-            else None
-        )
-        return _ShardOutcome(
-            lane=self.name,
-            shard=self.shard,
-            records=done,
-            wall_seconds=wall,
-            idle_seconds=idle,
-            steps=steps,
-            shed=shed,
-            prefix_fused_batches=prefix.fused_batches if prefix else 0,
-            prefix_cache_hits=prefix.hits if prefix else 0,
-            prefix_cache_misses=prefix.misses if prefix else 0,
-            prefix_cache_evictions=prefix.evictions if prefix else 0,
-            prefix_saved_macs=prefix.saved_macs if prefix else 0,
-        )
-
     def release(self) -> None:
         """Drop resident state and hand plan scratch back."""
         self._round = None
@@ -753,29 +697,6 @@ class LaneWorker:
                 self.residents[index] = None
         self.queue.clear()
         self.state.plan.resolve().shrink(1)
-
-
-class _PairSource(RequestSource):
-    """Replay preassigned ``(seq, request)`` pairs (a shard's slice).
-
-    Unlike :class:`~repro.runtime.frontdoor.ListSource`, seqs are the
-    parent's submission numbers, not list positions — the shard's
-    records must key by them so the aggregate stays in submission
-    order.
-    """
-
-    def __init__(self, pairs: Sequence[Tuple[int, ClipRequest]]):
-        super().__init__()
-        self._pairs = deque(sorted(
-            pairs, key=lambda item: (item[1].arrival_time, item[0])
-        ))
-
-    def _next_pair(self) -> Optional[Tuple[int, ClipRequest]]:
-        return self._pairs.popleft() if self._pairs else None
-
-    @property
-    def finished(self) -> bool:
-        return not self._pairs
 
 
 class Router:
@@ -835,23 +756,6 @@ class Router:
             )
         return names[0]
 
-    def partition(
-        self, requests: Sequence[ClipRequest]
-    ) -> Dict[str, List[Tuple[int, ClipRequest]]]:
-        """Requests per lane, ``(submission seq, request)`` in arrival
-        order (stable on submission order for ties)."""
-        ordered = sorted(
-            enumerate(requests),
-            key=lambda item: (item[1].arrival_time, item[0]),
-        )
-        per_lane: Dict[str, List[Tuple[int, ClipRequest]]] = {
-            name: [] for name in self.specs
-        }
-        for seq, request in ordered:
-            per_lane[self.lane_for(request)].append((seq, request))
-        return per_lane
-
-
 @dataclass
 class _ShardOutcome:
     """What one shard's serve loop returned (picklable)."""
@@ -862,8 +766,6 @@ class _ShardOutcome:
     wall_seconds: float
     idle_seconds: float
     steps: int
-    #: requests this shard shed at its admission boundary.
-    shed: List[ShedRecord] = field(default_factory=list)
     #: per-shard prefix-service counters (0s when shards shared one
     #: service — the aggregate then reads the service directly).
     prefix_fused_batches: int = 0
@@ -892,53 +794,6 @@ class _ShardOutcome:
         )
 
 
-@dataclass(frozen=True)
-class _ShardTask:
-    """Everything a worker process needs to serve one lane shard."""
-
-    lane: str
-    shard: int
-    spec: PipelineSpec
-    capacity: int
-    assigned: Tuple[Tuple[int, ClipRequest], ...]
-    #: prefix-service knobs, rebuilt per process (a cache never crosses
-    #: a process boundary — each shard owns its own).
-    prefix_coalesce: bool = True
-    prefix_cache_mb: float = 0.0
-
-
-@single_blas_thread()
-def _run_shard(task: _ShardTask) -> _ShardOutcome:
-    """Build a warm worker for the shard and serve its slice, on one
-    BLAS thread (like every runtime step).
-
-    Module-level so the static-admission process pool can ship it to
-    worker processes; construction (network load, plan compile at
-    capacity) happens before the shard's clock starts, so shard busy
-    time measures serving, not setup.
-    """
-    worker = LaneWorker(
-        task.lane, task.spec, task.capacity, shard=task.shard,
-        prefix_coalesce=task.prefix_coalesce,
-        prefix_cache_mb=task.prefix_cache_mb,
-    )
-    return worker.serve_shard(task.assigned)
-
-
-def _admission_key(seq: int, request: ClipRequest) -> Tuple[float, float, int]:
-    """Earliest-deadline-first admission order for a ``(seq, request)``.
-
-    Deadline-less requests sort last by deadline and fall back to
-    arrival then submission order — exactly the historical FIFO — so
-    slack ordering only reorders traffic that actually has slack.
-    """
-    return (
-        request.deadline if request.deadline is not None else float("inf"),
-        request.arrival_time,
-        seq,
-    )
-
-
 def _finalize_step(
     worker: "LaneWorker",
     finished: Sequence[_Resident],
@@ -949,9 +804,9 @@ def _finalize_step(
 
     Stamps first-output times (for residents and departures alike) at
     ``current`` on the loop's clock and turns each departure into its
-    :class:`RequestRecord`.  One definition, so the static, stealing,
-    and discrete-event loops can never drift apart in how they account
-    a step.
+    :class:`RequestRecord`.  One definition, so the in-process loop,
+    the discrete-event loop and the supervised shard process can never
+    drift apart in how they account a step.
     """
     for resident in worker.active_residents():
         if resident.first_output_time is None:
@@ -993,9 +848,8 @@ def _serve_work_stealing(
     ones earliest-deadline-first from its *lane's* shared backlog while
     it has free slots, then stepping its residents.  A request is
     therefore admitted by whichever shard reaches a free slot earliest
-    in virtual time: work stealing under the same concurrent-shard
-    model the static path's per-shard loops realize, deterministic
-    given step durations, honouring an injected clock.
+    in virtual time: work stealing under the concurrent-shard model,
+    deterministic given step durations, honouring an injected clock.
 
     This loop is also the inline backend for deterministic fault
     injection — the simulated twin of the process backend's
@@ -1406,33 +1260,21 @@ def _serve_loop(
         current = now()
         depth = sum(len(worker.queue) for worker in workers)
         for seq, request in door.take(depth, now=current):
-            route(request).queue.append((seq, request))
+            worker = route(request)
+            worker.queue.append(_PendingEntry(
+                seq=seq, request=request, lane=worker.name,
+                available=request.arrival_time,
+            ))
         for worker in workers:
-            if worker.queue and any(
-                request.deadline is not None
-                for _, request in worker.queue
-            ):
-                entries = [
-                    _PendingEntry(seq=seq, request=request,
-                                  lane=worker.name, available=current)
-                    for seq, request in worker.queue
-                ]
-                kept, newly_shed = _shed_expired(
-                    entries, current, shard=worker.shard
+            if worker.queue:
+                worker.queue, newly_shed = _shed_expired(
+                    worker.queue, current, shard=worker.shard
                 )
-                if newly_shed:
-                    shed.extend(newly_shed)
-                    worker.queue = deque(
-                        (entry.seq, entry.request) for entry in kept
-                    )
+                shed.extend(newly_shed)
             while worker.queue and worker.has_free_slot():
-                index = min(
-                    range(len(worker.queue)),
-                    key=lambda i: _admission_key(*worker.queue[i]),
-                )
-                seq, request = worker.queue[index]
-                del worker.queue[index]
-                worker.admit(seq, request, current)
+                entry = min(worker.queue, key=_edf_key)
+                worker.queue.remove(entry)
+                worker.admit(entry.seq, entry.request, current)
         if not any(worker.has_active() for worker in workers):
             # Idle with work still to come: skip ahead to the next
             # arrival instead of spinning.
@@ -1483,33 +1325,22 @@ class ServingRuntime:
 
     ``serve_workers`` selects the execution shape: ``1`` (default) runs
     every lane in-process under one virtual clock; ``N > 1`` shards
-    lanes across a worker pool — each lane split into ``ceil(N /
-    num_lanes)`` shards, requests assigned round-robin in arrival order,
-    results aggregated into one :class:`ServingReport`.  Results are
-    bit-identical either way; sharding only changes wall-clock time and
-    latency accounting (each shard keeps its own clock).
-    ``shard_backend`` (see
-    :meth:`~repro.runtime.frontdoor.ServerConfig.resolve_shard_backend`):
-    ``process`` realizes shard concurrency, ``serial`` runs shards
-    inline — useful on single-core hosts, where the report still
-    aggregates under the concurrent model (slowest shard's busy time);
-    ``auto`` picks between them by usable core count.
-
-    ``admission`` selects how a sharded run assigns requests to a lane's
-    shards.  ``"static"`` (default) splits each lane's traffic
-    round-robin in arrival order — the PR 4 shape, fully independent
-    shards.  ``"shared"`` keeps one admission queue per lane that every
-    shard of the lane pulls from, so an idle shard *steals* the next
-    pending request instead of idling beside a backlogged sibling —
-    under skewed traffic (e.g. long clips landing on one shard's slice)
-    that is what fixes tail latency.  Inline (``serial``-resolved)
-    shared-admission runs execute as a deterministic discrete-event
-    simulation of concurrent shards (per-shard virtual clocks, the
-    injected ``clock`` honoured); the ``process`` backend realizes the
-    shared queue with a real cross-process queue on the real clock
-    (arrivals released by the parent, no virtual-time skipping).
-    Admission policy never changes results: per-clip bit identity holds
-    regardless of which shard served a clip.
+    lanes — the budget of ``N`` shards is dealt across lanes, each lane
+    keeps one admission queue that every shard of the lane pulls from
+    (an idle shard *steals* the next pending request instead of idling
+    beside a backlogged sibling), and results aggregate into one
+    :class:`ServingReport`.  Results are bit-identical either way:
+    sharding only changes wall-clock time and latency accounting (each
+    shard keeps its own clock).  ``shard_backend`` (see
+    :meth:`~repro.runtime.frontdoor.ServerConfig.resolve_shard_backend`)
+    picks how shards run: ``serial`` executes them inline as a
+    deterministic discrete-event simulation of concurrent shards
+    (per-shard virtual clocks, the injected ``clock`` honoured) —
+    useful on single-core hosts, where the report still aggregates
+    under the concurrent model (slowest shard's busy time); ``process``
+    runs real supervised shard processes on the real clock (arrivals
+    released by the parent, no virtual-time skipping unless
+    ``virtual_time``); ``auto`` picks between them by usable core count.
 
     ``clock`` is injectable (monotonic seconds) for deterministic tests
     and applies to unsharded and inline-shard serving; process shards
@@ -1567,10 +1398,6 @@ class ServingRuntime:
         return self.config.serve_workers
 
     @property
-    def admission(self) -> str:
-        return self.config.admission
-
-    @property
     def fault_plan(self) -> FaultPlan:
         return self.config.fault_plan
 
@@ -1613,20 +1440,6 @@ class ServingRuntime:
         """The in-process worker that would serve ``request``."""
         return self.lanes[self.router.lane_for(request)]
 
-    def resolve_backend(self) -> Backend:
-        """The one backend this config serves through.
-
-        ``serve()`` dispatches here: the in-process loop (a single
-        worker per lane, no elasticity), static shard slices, or the
-        shared-admission family — which is also where autoscaling and
-        fault injection live, as backend capabilities.
-        """
-        if self.config.autoscale is None and self.config.serve_workers == 1:
-            return InProcessBackend(self)
-        if self.config.admission == "static":
-            return StaticShardBackend(self)
-        return SharedAdmissionBackend(self)
-
     @single_blas_thread()
     def serve(self, requests) -> ServingReport:
         """Serve a request stream on one BLAS thread; returns
@@ -1637,8 +1450,9 @@ class ServingRuntime:
         failures surface before any serving starts), an iterator or
         generator, an :class:`asyncio.Queue`, or a
         :class:`~repro.runtime.frontdoor.RequestSource` such as a
-        bounded :class:`~repro.runtime.frontdoor.QueueSource`.  The
-        resolved backend then serves everything the front door yields.
+        bounded :class:`~repro.runtime.frontdoor.QueueSource`.  Sharded
+        configs serve through shared per-lane admission, the rest through
+        the in-process loop.
         """
         source = as_request_source(requests)
         door = FrontDoor(
@@ -1648,7 +1462,10 @@ class ServingRuntime:
             resume_pending=self.config.resume_pending,
         )
         try:
-            report = self.resolve_backend().serve(door)
+            report = (
+                self._serve_shared(door) if self.config.sharded
+                else self._serve_in_process(door)
+            )
         finally:
             source.close()
         report.backpressure_pauses = door.backpressure_pauses
@@ -1690,7 +1507,6 @@ class ServingRuntime:
             steps=steps,
             max_batch=self.max_batch,
             serve_workers=1,
-            admission=self.admission,
             shed=sorted(shed, key=lambda record: record.seq),
             prefix_fused_batches=service.stats.fused_batches,
             prefix_cache_hits=service.stats.hits,
@@ -1700,46 +1516,6 @@ class ServingRuntime:
             lane_dtypes=lane_dtypes,
             lane_quant_savings=lane_savings,
         )
-
-    def _serve_sharded(
-        self, per_lane: Dict[str, List[Tuple[int, ClipRequest]]]
-    ) -> ServingReport:
-        """Static assignment: slice each lane and serve on the pool."""
-        shards_per_lane = -(-self.serve_workers // len(self.router.specs))
-        tasks: List[_ShardTask] = []
-        for name, lane_spec in self.router.specs.items():
-            lane_spec.warm()  # workers load the cache, never race to train
-            lane_requests = per_lane[name]
-            for shard in range(shards_per_lane):
-                assigned = tuple(lane_requests[shard::shards_per_lane])
-                if not assigned:
-                    continue  # an empty shard has nothing to build
-                tasks.append(
-                    _ShardTask(
-                        name, shard, lane_spec, self.max_batch, assigned,
-                        prefix_coalesce=self.config.prefix_coalesce,
-                        prefix_cache_mb=self.config.prefix_cache_mb,
-                    )
-                )
-        if self.config.resolve_shard_backend(len(tasks)) == "serial":
-            # Inline shards run in this process, so the injected clock
-            # (deterministic tests) is honoured; each shard still gets
-            # its own serve loop and its own busy/idle accounting (and,
-            # mirroring the process backend, its own prefix cache).
-            outcomes = [
-                LaneWorker(
-                    task.lane, task.spec, task.capacity, shard=task.shard,
-                    prefix_coalesce=task.prefix_coalesce,
-                    prefix_cache_mb=task.prefix_cache_mb,
-                ).serve_shard(task.assigned, clock=self.clock)
-                for task in tasks
-            ]
-        else:
-            workers = min(self.config.pool_workers, len(tasks))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_run_shard, tasks))
-
-        return self._aggregate_shards(outcomes)
 
     def _aggregate_shards(
         self,
@@ -1759,12 +1535,10 @@ class ServingRuntime:
 
         ``prefix`` carries the counters of a service *shared* across
         the shards (the inline DES); without it the per-shard counters
-        are summed (independent services, the static/process paths)."""
+        are summed (independent per-process services)."""
         done: Dict[int, RequestRecord] = {}
-        all_shed = list(shed)
         for outcome in outcomes:
             done.update(outcome.records)
-            all_shed.extend(outcome.shed)
         shards = [outcome.info() for outcome in outcomes]
         slowest = max(shards, key=lambda s: s.wall_seconds, default=None)
         lane_dtypes, lane_savings = self._lane_quant_info()
@@ -1776,8 +1550,7 @@ class ServingRuntime:
             max_batch=self.max_batch,
             serve_workers=self.serve_workers,
             shards=shards,
-            admission=self.admission,
-            shed=sorted(all_shed, key=lambda record: record.seq),
+            shed=sorted(shed, key=lambda record: record.seq),
             retries=retries,
             failovers=failovers,
             respawns=respawns,
@@ -1822,9 +1595,8 @@ class ServingRuntime:
         """Sharded serving over shared per-lane admission queues.
 
         Inline (``serial``-resolved) runs simulate the concurrent shards
-        with the discrete-event loop — deterministic, injected-clock
-        friendly, and directly comparable to the static path's
-        per-shard timelines.  The ``process`` backend realizes the
+        with the discrete-event loop — deterministic and injected-clock
+        friendly.  The ``process`` backend realizes the
         shared queue for real: the parent holds the queue and, at each
         request's arrival time, sends its seq down the pipe of the lane
         shard with the most free credit (work stealing at request
@@ -1843,12 +1615,11 @@ class ServingRuntime:
         if config.autoscale is not None:
             return self._serve_autoscaled(door)
         per_lane = door.drain_per_lane()
-        # Shards here are *concurrent* queue consumers (the process pool
-        # is sized to the task count), so — unlike the static path's
-        # per-lane ceil — the total never exceeds serve_workers: the
-        # budget is dealt round-robin across lanes, and a shard beyond a
-        # lane's request count is never built (it could not admit
-        # anything, and its executors/plan compile aren't free).
+        # Shards are *concurrent* queue consumers (one process each), so
+        # the total never exceeds serve_workers: the budget is dealt
+        # round-robin across lanes, and a shard beyond a lane's request
+        # count is never built (it could not admit anything, and its
+        # executors/plan compile aren't free).
         lane_names = list(self.router.specs)
         lane_shards = deal_shard_budget(
             lane_names,
@@ -1976,20 +1747,18 @@ def _validate_fault_plan(config: ServerConfig, router: Router) -> None:
 
     The one home for both checks — it always has the router, so the
     unknown-lane message can list ``Router.describe_lanes()`` (a bare
-    :class:`ServerConfig` cannot).  Faults require a supervised
-    backend: fixed shared-admission shards, or an elastic pool whose
-    ``max_shards`` leaves a survivor to fail over to.
+    :class:`ServerConfig` cannot).  Faults require supervised shards:
+    ``serve_workers >= 2``, or an elastic pool whose ``max_shards``
+    leaves a survivor to fail over to.
     """
     if not config.fault_plan:
         return
     elastic = config.autoscale is not None and config.autoscale.max_shards >= 2
-    if (config.serve_workers < 2 and not elastic) \
-            or config.admission != "shared":
+    if config.serve_workers < 2 and not elastic:
         raise ValueError(
-            "fault_plan requires serve_workers >= 2 and "
-            "admission='shared' (the supervised backends); got "
-            f"serve_workers={config.serve_workers}, "
-            f"admission={config.admission!r}"
+            "fault_plan requires sharded serving (serve_workers >= 2, the "
+            "supervised shared-admission shards); got "
+            f"serve_workers={config.serve_workers}"
         )
     unknown = [
         lane for lane in config.fault_plan.lanes()
@@ -2000,48 +1769,3 @@ def _validate_fault_plan(config: ServerConfig, router: Router) -> None:
             f"fault_plan targets unknown lane(s) {unknown}; "
             f"registered lanes: {router.describe_lanes()}"
         )
-
-
-class InProcessBackend(Backend):
-    """All lanes in one process under one virtual clock (PR 3 shape)."""
-
-    name = "in-process"
-    capabilities = frozenset(
-        {"streaming", "watermarks", "virtual-time"}
-    )
-
-    def serve(self, door: FrontDoor) -> ServingReport:
-        return self.runtime._serve_in_process(door)
-
-
-class StaticShardBackend(Backend):
-    """Round-robin slices, fully independent shards (PR 4 shape).
-
-    Slices are fixed at dispatch time, so this backend needs the whole
-    trace up front — the door is drained, not streamed.
-    """
-
-    name = "static-shards"
-    capabilities = frozenset({"sharded"})
-
-    def serve(self, door: FrontDoor) -> ServingReport:
-        return self.runtime._serve_sharded(door.drain_per_lane())
-
-
-class SharedAdmissionBackend(Backend):
-    """Shared per-lane queues: work stealing, supervision, elasticity.
-
-    The capability home for everything that needs a shared queue —
-    fault injection, autoscaling, virtual-time process admission —
-    realized inline as a deterministic DES (``serial``-resolved) or on
-    supervised worker processes (``process``-resolved).
-    """
-
-    name = "shared-admission"
-    capabilities = frozenset(
-        {"sharded", "work-stealing", "fault-injection", "autoscale",
-         "streaming", "watermarks", "virtual-time"}
-    )
-
-    def serve(self, door: FrontDoor) -> ServingReport:
-        return self.runtime._serve_shared(door)

@@ -71,15 +71,30 @@ class TestCLI:
         assert "bit-identical to its serial run: yes" in out
 
     def test_serve_shared_admission_verify(self, capsys):
+        """Shared admission needs no flag: it is the only sharded path,
+        so a plain ``--serve-workers 2`` serve reports one row per shard
+        of the shared queue."""
         assert main([
             "serve", "--clips", "4", "--frames", "4", "--max-batch", "2",
             "--arrival-rate", "500", "--scenario", "static",
-            "--serve-workers", "2", "--shard-backend", "serial",
-            "--admission", "shared", "--verify",
+            "--serve-workers", "2", "--shard-backend", "serial", "--verify",
         ]) == 0
         out = capsys.readouterr().out
-        assert "admission" in out
-        assert "shared" in out
+        assert "shard default/0" in out
+        assert "shard default/1" in out
+        assert "bit-identical to its serial run: yes" in out
+
+    def test_serve_kill_shard_on_default_sharding(self, capsys):
+        """Fault injection needs no admission flag: the default sharded
+        serve is the supervised one.  Whether the kill lands on a busy
+        shard depends on real step times, so only the exit and the
+        identity check are asserted."""
+        assert main([
+            "serve", "--clips", "8", "--frames", "4",
+            "--serve-workers", "2", "--shard-backend", "serial",
+            "--kill-shard", "1@0.02", "--verify",
+        ]) == 0
+        out = capsys.readouterr().out
         assert "bit-identical to its serial run: yes" in out
 
     def test_serve_bad_serve_workers_rejected(self, capsys):

@@ -174,6 +174,10 @@ class TestServerConfig:
         with pytest.raises(ValueError, match="resume_pending"):
             ServerConfig(max_pending=4, resume_pending=4)
 
+    def test_static_admission_removed(self):
+        with pytest.raises(ValueError, match="static admission was removed"):
+            ServerConfig(admission="static")
+
     def test_autoscale_implies_shared_admission(self):
         config = ServerConfig(autoscale=AutoscalePolicy(max_shards=3))
         assert config.admission == "shared"

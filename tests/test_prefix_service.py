@@ -303,7 +303,7 @@ class TestCrossLaneCoalescing:
         assert report.prefix_cache_hits == 6 * len(clips)
 
     def test_static_sharded_coalesced_identity(self, always_spec):
-        """Static inline sharding: per-shard services, still identical."""
+        """Default inline sharding with the cache on, still identical."""
         clips = synthetic_workload(6, num_frames=5, base_seed=21)
         serial = run_workload(always_spec, clips, batch=False)
         report = ServingRuntime(

@@ -165,7 +165,7 @@ def _assert_identical(result, reference):
 
 
 def _serve_sharded(spec, clips, serve_workers, backend="process"):
-    """Static-admission serve over shards, as a WorkloadResult."""
+    """A sharded serve, as a WorkloadResult."""
     runtime = ServingRuntime(
         spec,
         ServerConfig(max_batch=2, serve_workers=serve_workers,
@@ -179,7 +179,7 @@ def _serve_sharded(spec, clips, serve_workers, backend="process"):
 
 class TestSchedulerBackends:
     """Shard backend resolution (``ServerConfig.resolve_shard_backend``)
-    and the static-admission shard pools it selects."""
+    and the sharded serves it selects."""
 
     def test_serial(self, spec, workload, serial_result):
         _assert_identical(
@@ -315,9 +315,7 @@ class TestSingleBlasThread:
     @pytest.mark.parametrize("config", [
         ServerConfig(max_batch=2),
         ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial"),
-        ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial",
-                     admission="shared"),
-    ], ids=["in_process", "static_shards", "shared_admission"])
+    ], ids=["in_process", "shared_admission"])
     def test_serve_runs_on_one_thread(self, spec, workload, serial_result,
                                       plan_pools, blas_pool, config):
         requests = [

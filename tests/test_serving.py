@@ -14,10 +14,13 @@ import pytest
 
 from repro.runtime import (
     ClipRequest,
+    FaultEvent,
+    FaultPlan,
     LaneRoutingError,
     PipelineSpec,
     ServerConfig,
     ServingRuntime,
+    SupervisorConfig,
     poisson_arrival_times,
     run_workload,
     synthetic_workload,
@@ -144,7 +147,7 @@ class TestSharded:
 
     def test_single_lane_two_shards_match_serial(self, spec, clips,
                                                  serial_result):
-        """One lane replicated into two shards (requests round-robin)."""
+        """One lane replicated into two shards (one shared queue)."""
         runtime = ServingRuntime(
             spec, ServerConfig(max_batch=3, serve_workers=2, shard_backend="serial")
         )
@@ -265,9 +268,9 @@ class TestSharded:
 
 
 class TestSharedAdmission:
-    """admission='shared': one admission queue per lane, every shard of
+    """Shared admission: one admission queue per lane, every shard of
     the lane steals from it.  Assignment policy must never leak into
-    results — the per-clip identity contract is the same as static's."""
+    results — the per-clip identity contract is the in-process one."""
 
     def test_inline_two_shards_match_serial(self, spec, clips,
                                             serial_result):
@@ -276,7 +279,6 @@ class TestSharedAdmission:
             admission="shared"),
         ).serve(_requests(clips))
         _assert_identical(report, serial_result)
-        assert report.admission == "shared"
         assert len(report.shards) == 2
         assert sum(shard.requests for shard in report.shards) == len(clips)
 
@@ -298,9 +300,9 @@ class TestSharedAdmission:
         assert {shard.lane for shard in report.shards} == {"cam0", "cam1"}
 
     def test_idle_shard_steals_skewed_backlog(self, spec):
-        """Interleaved long/short clips: static round-robin pins the
-        longs on one shard; the shared queue spreads them, so no shard
-        serves more than ~the balanced share of frames."""
+        """Interleaved long/short clips: round-robin slices would pin
+        the longs on one shard; the shared queue spreads them, so no
+        shard serves more than ~the balanced share of frames."""
         longs = synthetic_workload(4, num_frames=8, base_seed=3)
         shorts = synthetic_workload(4, num_frames=2, base_seed=19)
         clips = [clip for pair in zip(longs, shorts) for clip in pair]
@@ -312,7 +314,7 @@ class TestSharedAdmission:
         _assert_identical(report, serial)
         frames = sorted(shard.frames for shard in report.shards)
         total = sum(frames)
-        # Static round-robin would put all 32 long frames on one shard
+        # Round-robin slices would put all 32 long frames on one shard
         # (32 vs 8); stealing keeps the split near even.
         assert frames[-1] < 0.75 * total
 
@@ -325,7 +327,6 @@ class TestSharedAdmission:
         ).serve(_requests(clips))
         _assert_identical(report, serial)
         assert report.serve_workers == 2
-        assert report.admission == "shared"
 
     def test_shared_accounting_aggregates(self, spec, clips):
         report = ServingRuntime(
@@ -337,8 +338,6 @@ class TestSharedAdmission:
         assert report.wall_seconds == max(
             shard.wall_seconds for shard in report.shards
         )
-        rows = dict((row[0], row[1]) for row in report.summary_rows())
-        assert rows["admission"] == "shared"
 
     def test_records_in_submission_order(self, spec, clips):
         report = ServingRuntime(
@@ -360,9 +359,8 @@ class TestSharedAdmission:
 
     def test_shard_budget_never_exceeds_serve_workers(self, spec, clips,
                                                       serial_result):
-        """Shared shards run concurrently (the pool is sized to them),
-        so the budget is dealt across lanes and capped at serve_workers
-        — unlike static's per-lane ceil, which may queue excess tasks."""
+        """Shared shards run concurrently (one process each), so the
+        budget is dealt across lanes and capped at serve_workers."""
         runtime = ServingRuntime(
             {"cam0": spec, "cam1": spec},
             ServerConfig(max_batch=2,
@@ -378,12 +376,28 @@ class TestSharedAdmission:
         _assert_identical(report, serial_result)
         assert len(report.shards) == 3
 
-    def test_shared_report_admission_field(self, spec, clips):
-        """Every serve path stamps the configured admission mode."""
-        in_process = ServingRuntime(
-            spec, ServerConfig(max_batch=3, admission="shared")
-        ).serve(_requests(clips[:2]))
-        assert in_process.admission == "shared"
+    def test_fault_plan_on_default_sharded_config(self, spec, clips,
+                                                  serial_result):
+        """A fault plan needs no admission argument: the default sharded
+        serve is the supervised one, and the killed shard's resident
+        fails over to its sibling bit-identically."""
+        plan = FaultPlan(events=(
+            FaultEvent("kill", at=0.008, lane="default", shard=1),
+        ))
+        report = ServingRuntime(
+            spec, ServerConfig(
+                max_batch=2, serve_workers=2, shard_backend="serial",
+                clock=FakeClock(), fault_plan=plan,
+                supervisor=SupervisorConfig(heartbeat_timeout=0.003),
+            ),
+        ).serve(_requests(clips, [0.002 * i for i in range(len(clips))]))
+        _assert_identical(report, serial_result)
+        assert report.failovers == 1
+        (event,) = report.failover_events
+        assert (event.shard, event.reason) == (1, "crash")
+        assert report.outcome_counts() == {
+            "served": len(clips) - 1, "failover": 1,
+        }
 
     def test_bad_admission_rejected(self, spec):
         with pytest.raises(ValueError, match="admission"):
@@ -391,8 +405,8 @@ class TestSharedAdmission:
 
     def test_shared_with_one_worker_is_in_process(self, spec, clips,
                                                   serial_result):
-        """serve_workers=1 has a single worker per lane — shared and
-        static admission coincide, served by the in-process loop."""
+        """serve_workers=1 has a single worker per lane, served by the
+        in-process loop."""
         report = ServingRuntime(
             spec, ServerConfig(max_batch=3, admission="shared")
         ).serve(_requests(clips))
